@@ -1,6 +1,6 @@
 """
-Certifying a spectral gap without an eigensolve
-===============================================
+Certifying a spectral gap from degree and seminorm statistics
+=============================================================
 
 The audit checks three degree/discrepancy statistics (C1, C2, C3) plus
 structural conditions on the low-degree "fuzz" (vertices of degree <= d/M).

@@ -11,7 +11,7 @@ never re-inferred from the realized graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -146,15 +146,7 @@ def audit(g: Graph, d: float, M: float) -> ConditionReport:
         certified_bound=None,
     )
     if independent and small and neighbor_ok:
-        bound = certified_bound(report, d)
-        report = ConditionReport(
-            n=n, d=d, M=M, C1=c1, C2=c2, C3=c3,
-            fuzz_size=int(members.size),
-            fuzz_independent=independent,
-            fuzz_small=small,
-            fuzz_neighbor_ok=neighbor_ok,
-            certified_bound=bound,
-        )
+        report = replace(report, certified_bound=certified_bound(report, d))
     return report
 
 

@@ -67,6 +67,13 @@ class Graph:
             a[u, nbrs] = 1.0
         return a
 
+    def sparse_adjacency(self) -> csr_matrix:
+        """0/1 adjacency matrix (float64) in CSR form, rows read off adj."""
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=indptr[1:])
+        indices = np.concatenate(self.adj) if self.n else np.empty(0, dtype=np.int64)
+        return csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.n, self.n))
+
 
 @dataclass(frozen=True)
 class GraphParams:
@@ -103,7 +110,8 @@ def from_edges(n: int, edges) -> Graph:
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
     cuts = np.searchsorted(src, np.arange(1, n))
-    adj = tuple(np.ascontiguousarray(a) for a in np.split(dst, cuts))
+    # np.split always returns at least one piece, so n == 0 needs its own case
+    adj = tuple(np.ascontiguousarray(a) for a in np.split(dst, cuts)) if n else ()
     return Graph(n=n, adj=adj)
 
 
@@ -154,10 +162,7 @@ def components(g: Graph) -> ComponentDecomposition:
     """Connected components; giant = largest, ties to smallest contained vertex."""
     if g.n == 0:
         return ComponentDecomposition(np.empty(0, np.int64), np.empty(0, np.int64), -1)
-    edges = g.edges()
-    data = np.ones(edges.shape[0], dtype=np.int8)
-    m = csr_matrix((data, (edges[:, 0], edges[:, 1])), shape=(g.n, g.n))
-    _, labels = _cc(m, directed=False)
+    _, labels = _cc(g.sparse_adjacency(), directed=False)
     # renormalize labels to first-occurrence order so argmax ties resolve to
     # the component containing the smallest vertex
     _, first = np.unique(labels, return_index=True)

@@ -24,7 +24,7 @@ from .criteria import cohomology_hitting, garland_check, graph_connectivity_hitt
 from .graphs import GraphParams, components, erdos_renyi, induced_subgraph, read_edge_list
 from .homology import betti_dminus1
 from .seeding import derive_seed
-from .spectral import gap, giant_gap
+from .spectral import gap, gap_at_most, giant_gap
 from .tails import soundness_grid
 
 KINDS = (
@@ -241,10 +241,15 @@ def _certify_trial(cfg, p, seed):
         d = (cfg.n - 1) * p
     report = audit(g, d, cfg.M)
     measured = giant_gap(g).lambda_abs if g.edge_count else None
+    bound = None if report.certified_bound is None else report.certified_bound + 1e-7
+    # measured can only undershoot the true gap (Lanczos), so it refutes a
+    # bound but confirms one only at or above 1, where spec(L) in [0, 2]
+    # implies it; below 1 the inertia count decides
     sound = (
-        report.certified_bound is not None
+        bound is not None
         and measured is not None
-        and measured <= report.certified_bound + 1e-7
+        and measured <= bound
+        and (bound >= 1.0 or gap_at_most(_giant(g), bound))
     )
     return {
         "n": report.n,

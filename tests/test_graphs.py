@@ -45,14 +45,18 @@ class TestConstruction:
         assert g.has_edge(3, 0)
         assert not g.has_edge(0, 2)
 
-    @given(st.integers(1, 12), st.data())
+    @given(st.integers(0, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_invariants_on_arbitrary_edge_sets(self, n, data):
-        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))) if pool else []
-        g = from_edges(n, edges)
+        # both orientations and repeats, as an (m, 2) array; n = 0 included
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pair, max_size=40)) if n >= 2 else []
+        g = from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        assert len(g.adj) == g.n == n
         assert_valid_graph(g)
+        assert g.edge_count == len({(min(e), max(e)) for e in edges})
         assert g.degrees.sum() == 2 * g.edge_count
+        assert g.sparse_adjacency().nnz == 2 * g.edge_count
 
 
 class TestErdosRenyi:

@@ -9,9 +9,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from spectop import cli
+from spectop import cli, harness
 from spectop.complexes import window_density
-from spectop.graphs import from_edges, write_edge_list
+from spectop.graphs import (
+    GraphParams,
+    components,
+    erdos_renyi,
+    from_edges,
+    induced_subgraph,
+    write_edge_list,
+)
 from spectop.harness import (
     KINDS,
     ExperimentConfig,
@@ -21,6 +28,7 @@ from spectop.harness import (
     validate,
 )
 from spectop.seeding import derive_seed
+from spectop.spectral import full_spectrum, normalized_laplacian
 
 
 def cfg(**kw):
@@ -243,6 +251,21 @@ class TestReplay:
         assert lone.seed == result.records[2].seed
         assert lone.values == result.records[2].values
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("certify", dict(coeff=1.5)),
+        ("graph-gap", dict(coeff=1.2)),
+    ])
+    def test_lanczos_rows_reproduce_without_wall_ms(self, kind, extra, tmp_path):
+        # n above the dense cut-off, so gap and the seminorm run Lanczos
+        base = cfg(kind=kind, n=300, trials=3, master_seed=5,
+                   out=str(tmp_path / "a"), **extra)
+        again = replace(base, out=str(tmp_path / "b"), workers=2)
+        r1, r2 = run(base), run(again)
+        strip = lambda path: [
+            line.rsplit(",", 1)[0] for line in open(path).read().splitlines()
+        ]
+        assert strip(r1.csv_path) == strip(r2.csv_path)
+
     def test_float_round_trip_exact(self, tmp_path):
         c = cfg(kind="graph-gap", n=70, coeff=1.3, trials=3, master_seed=4,
                 out=str(tmp_path))
@@ -290,6 +313,24 @@ class TestCertify:
         assert result.ok
         for r in result.records:
             assert r.values["measured_gap"] <= r.values["certified_bound"] + 1e-7
+
+    def test_sound_below_one_matches_dense_oracle(self, tmp_path, monkeypatch):
+        # certified bound ~0.5 < 1, so `sound` rests on the inertia count
+        config = cfg(kind="certify", n=400, p=0.5, M=1.5, trials=2,
+                     master_seed=3, out=str(tmp_path))
+        result = run(config)
+        for rec in result.records:
+            row = rec.values
+            assert row["certified_bound"] < 1.0
+            g = erdos_renyi(GraphParams(400, 0.5, rec.seed))
+            comp = components(g)
+            sub = induced_subgraph(g, np.flatnonzero(comp.component_id == comp.giant))
+            vals = full_spectrum(normalized_laplacian(sub)).eigenvalues
+            true_gap = float(np.abs(1.0 - vals[1:]).max())
+            assert row["measured_gap"] == pytest.approx(true_gap, abs=1e-10)
+            assert row["sound"] == (true_gap <= row["certified_bound"] + 1e-7)
+        monkeypatch.setattr(harness, "gap_at_most", lambda g, bound: False)
+        assert not any(r.values["sound"] for r in run(config).records)
 
 
 class TestCli:

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from spectop.graphs import GraphParams, components, erdos_renyi, from_edges
+from spectop.graphs import GraphParams, components, erdos_renyi, from_edges, induced_subgraph
 from spectop.spectral import (
+    _DENSE_MAX_N,
+    RITZ_TOL,
     ZERO_TOL,
     adjacency_seminorm,
     full_spectrum,
     gap,
+    gap_at_most,
     giant_gap,
     normalized_laplacian,
     rayleigh_bounds,
@@ -116,6 +121,11 @@ class TestGap:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             gap(edgeless(1))
+
+    def test_disconnected_above_dense_cutoff_names_kernel_dim(self):
+        g = disjoint_union(cycle(_DENSE_MAX_N), cycle(_DENSE_MAX_N))
+        with pytest.raises(ValueError, match="kernel_dim=2"):
+            gap(g)
 
 
 class TestGiantGap:
@@ -274,3 +284,77 @@ class TestRayleighBounds:
             assert upper2 >= vals[1] - 1e-7
             assert lowern <= vals[-1] + 1e-7
             done += 1
+
+
+def _giant(g):
+    comp = components(g)
+    return induced_subgraph(g, np.flatnonzero(comp.component_id == comp.giant))
+
+
+def _random_giants():
+    """G(n, p) giants just above the dense cut-off, above and below the
+    connectivity threshold (coeff 1.5 and 0.4)."""
+    out = []
+    for n in (200, 400):
+        for coeff in (1.5, 0.4):
+            for seed in range(2):
+                g = _giant(erdos_renyi(GraphParams(n, coeff * math.log(n) / n, seed)))
+                out.append(pytest.param(g, id=f"n{n}-c{coeff}-s{seed}"))
+    return out
+
+
+DEGENERATE = [
+    pytest.param(complete(200), id="complete200"),
+    pytest.param(star(300), id="star300"),
+    pytest.param(complete_bipartite(100, 150), id="k100_150"),
+    pytest.param(cycle(200), id="cycle200"),
+    pytest.param(cycle(1001), id="cycle1001"),
+    pytest.param(path(500), id="path500"),
+]
+
+
+class TestLanczosOracle:
+    """The sparse path pinned to dense eigvalsh / SVD just above the cut-off."""
+
+    @pytest.mark.parametrize("g", _random_giants() + DEGENERATE)
+    def test_gap_matches_dense(self, g):
+        assert g.n > _DENSE_MAX_N
+        vals = np.linalg.eigvalsh(normalized_laplacian(g))
+        res = gap(g)
+        assert res.kernel_dim == 1
+        assert res.lambda2 == pytest.approx(vals[1], abs=1e-10)
+        assert res.lambda_max == pytest.approx(vals[-1], abs=1e-10)
+        assert res.lambda_abs == pytest.approx(np.abs(1.0 - vals[1:]).max(), abs=1e-10)
+        assert 0.0 < res.residual <= RITZ_TOL
+
+    @pytest.mark.parametrize("g", _random_giants() + DEGENERATE)
+    def test_seminorm_matches_svd(self, g):
+        n = g.n
+        proj = np.eye(n) - np.ones((n, n)) / n
+        oracle = np.linalg.svd(proj @ g.adjacency(), compute_uv=False)[0]
+        assert adjacency_seminorm(g) == pytest.approx(oracle, rel=1e-12, abs=1e-10)
+
+    def test_dense_path_reports_zero_residual(self):
+        assert gap(complete(_DENSE_MAX_N)).residual == 0.0
+
+    def test_reruns_are_bit_identical(self):
+        g = _giant(erdos_renyi(GraphParams(300, 0.03, 5)))
+        assert gap(g) == gap(g)
+        assert adjacency_seminorm(g) == adjacency_seminorm(g)
+
+
+class TestGapAtMost:
+    @pytest.mark.parametrize("g", _random_giants()[::3] + [complete(40), cycle(30), star(20)])
+    def test_decides_both_sides_of_the_true_gap(self, g):
+        vals = full_spectrum(normalized_laplacian(g)).eigenvalues
+        true = float(np.abs(1.0 - vals[1:]).max())
+        if true < 1.0 - 1e-6:
+            assert gap_at_most(g, true + 1e-6)
+        assert not gap_at_most(g, true - 1e-6)
+
+    def test_bound_at_least_one_always_holds(self):
+        # C_30 is bipartite: lambda_max = 2, so the gap is exactly 1
+        assert gap_at_most(cycle(30), 1.0)
+
+    def test_disconnected_fails(self):
+        assert not gap_at_most(disjoint_union(complete(5), complete(5)), 0.9)

@@ -34,7 +34,6 @@ __all__ = [
     "sample_complex",
     "face_process",
     "link",
-    "empty_stats",
     "isolated_faces",
     "strip_isolated",
     "is_pure",
@@ -245,10 +244,6 @@ class ComplexStats:
             if self.degrees[r] == 0:
                 self.isolated_count -= 1
             self.degrees[r] += 1
-
-
-def empty_stats(n: int, d: int) -> ComplexStats:
-    return ComplexStats(n, d)
 
 
 def isolated_faces(y: Complex) -> ComplexStats:

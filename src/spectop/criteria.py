@@ -12,15 +12,15 @@ first index at which each property holds.
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .complexes import (
     Complex,
+    ComplexStats,
     FaceProcess,
     binom_table,
-    empty_stats,
     is_pure,
     isolated_faces,
     link,
@@ -179,6 +179,21 @@ def _facet_rows(face: np.ndarray, table: np.ndarray) -> np.ndarray:
     return rank_faces(facets, table)
 
 
+def _arrivals(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
+    """(m, face) for the m-th arrival, m = 1..total, in arrival order.
+
+    Arrivals are drawn and unranked 1024 at a time, so a scan that stops
+    early has drawn at most one block past where it stopped.
+    """
+    table = binom_table(proc.n, proc.d + 1)
+    lo = 0
+    while lo < proc.total:
+        hi = min(lo + 1024, proc.total)
+        faces = unrank_faces(proc.first(hi)[lo:], proc.d + 1, table)
+        yield from enumerate(faces, start=lo + 1)
+        lo = hi
+
+
 def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
     """One pass over a process, recording when cohomology obstructions die.
 
@@ -191,14 +206,12 @@ def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
         raise ValueError("cohomology scan needs dimension >= 2")
     n, d = proc.n, proc.d
     table = binom_table(n, d + 1)
-    stats = empty_stats(n, d)
+    stats = ComplexStats(n, d)
     tracker = RankTracker(int(table[n, d]), seed=seed)
     target = math.comb(n - 1, d)
     signs = np.array([1 if i % 2 == 0 else -1 for i in range(d + 1)], dtype=np.int64)
     m1 = m2 = None
-    arrivals = proc.first(proc.total)
-    for m, r in enumerate(arrivals, start=1):
-        face = unrank_faces(np.array([r]), d + 1, table)[0]
+    for m, face in _arrivals(proc):
         stats.add_face(face)
         tracker.add_column(_facet_rows(face, table), signs)
         if m1 is None and stats.isolated_count == 0:
@@ -211,11 +224,9 @@ def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
 
 
 def _first_without_isolated(proc: FaceProcess) -> Optional[int]:
-    stats = empty_stats(proc.n, proc.d)
-    table = stats._table
-    arrivals = proc.first(proc.total)
-    for m, r in enumerate(arrivals, start=1):
-        stats.add_face(unrank_faces(np.array([r]), proc.d + 1, table)[0])
+    stats = ComplexStats(proc.n, proc.d)
+    for m, face in _arrivals(proc):
+        stats.add_face(face)
         if stats.isolated_count == 0:
             return m
     return None
@@ -290,27 +301,21 @@ def graph_connectivity_hitting(proc: FaceProcess) -> HittingReport:
     if proc.d != 1:
         raise ValueError("connectivity scan is for dimension 1")
     n = proc.n
-    table = binom_table(n, 2)
     uf = _UnionFind(n)
     degree = np.zeros(n, dtype=np.int64)
     zero_deg = n
     m1 = tau = None
-    lo = 0
-    while (m1 is None or tau is None) and lo < proc.total:
-        hi = min(lo + 1024, proc.total)
-        block = unrank_faces(proc.first(hi)[lo:], 2, table)
-        for m, (u, v) in enumerate(block, start=lo + 1):
-            for w in (int(u), int(v)):
-                if degree[w] == 0:
-                    zero_deg -= 1
-                degree[w] += 1
-            if m1 is None and zero_deg == 0:
-                m1 = m
-            uf.union(int(u), int(v))
-            if tau is None and uf.components == 1:
-                tau = m
-            if m1 is not None and tau is not None:
-                break
-        lo = hi
+    for m, (u, v) in _arrivals(proc):
+        for w in (int(u), int(v)):
+            if degree[w] == 0:
+                zero_deg -= 1
+            degree[w] += 1
+        if m1 is None and zero_deg == 0:
+            m1 = m
+        uf.union(int(u), int(v))
+        if tau is None and uf.components == 1:
+            tau = m
+        if m1 is not None and tau is not None:
+            break
     gr = gap(from_edges(n, proc.prefix(tau).faces))
     return HittingReport(M1=m1, M2=tau, tau_c_index=tau, gap=gr)

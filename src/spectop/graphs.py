@@ -102,13 +102,10 @@ def from_edges(n: int, edges) -> Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loop")
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        edges = np.unique(np.column_stack([lo, hi]), axis=0)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # both orientations as int64 keys src*n + dst: one sort dedupes them
+    # and leaves them in (src, dst) order
+    u, v = edges[:, 0], edges[:, 1]
+    src, dst = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u])), n)
     cuts = np.searchsorted(src, np.arange(1, n))
     # np.split always returns at least one piece, so n == 0 needs its own case
     adj = tuple(np.ascontiguousarray(a) for a in np.split(dst, cuts)) if n else ()

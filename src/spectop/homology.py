@@ -6,9 +6,10 @@ stripped complex gets an honest chain-level computation (kept faces minus
 the two boundary ranks).
 
 Rank engines: prime-field elimination with a random 62-bit prime (fast,
-error is one-sided: a bad prime can only lower the reported rank),
-fraction-free integer elimination (exact, size-capped), and for the
-full-skeleton Betti a spectral kernel count of boundary * boundary^T.
+error is one-sided: a bad prime can only lower the reported rank, with
+probability at most dim/2^62 per run), fraction-free integer elimination
+(exact, size-capped), and for the full-skeleton Betti a spectral kernel
+count of boundary * boundary^T.
 """
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._modrank import make_core, random_prime
 from .complexes import Complex, binom_table, isolated_faces, rank_faces, unrank_faces
+from .seeding import trial_rng
 
 __all__ = [
     "BoundaryMatrix",
     "RankTracker",
+    "is_prime_u64",
     "random_prime",
     "boundary_matrix",
     "rank_mod_p",
@@ -33,6 +35,42 @@ __all__ = [
 ]
 
 _EXACT_CAP = 2000
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime_u64(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid for all n < 2^64."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime(bits: int = 62, seed: int = 0) -> int:
+    rng = trial_rng(seed)
+    lo, hi = 1 << (bits - 1), 1 << bits
+    while True:
+        cand = int(rng.integers(lo, hi, dtype=np.uint64)) | 1
+        if is_prime_u64(cand):
+            return cand
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +127,56 @@ def boundary_matrix(y: Complex) -> BoundaryMatrix:
     return _boundary_of(y.n, y.faces, table)
 
 
+class _PythonCore:
+    """Streaming elimination over GF(p) on Python integers.
+
+    Each arriving column is reduced against the pivot rows found so far, in
+    insertion order.  That is sound because every stored pivot row was
+    itself fully reduced before being kept, so it has zeros at all earlier
+    pivot positions.
+    """
+
+    def __init__(self, n_rows: int, p: int):
+        self.n = n_rows
+        self.p = p
+        self._rows: list = []
+        self._pos: list = []
+        self.rank = 0
+
+    def add_column(self, idx, vals) -> bool:
+        p = self.p
+        col = [0] * self.n
+        for i, v in zip(idx, vals):
+            col[int(i)] = int(v) % p
+        for j, row in zip(self._pos, self._rows):
+            c = col[j]
+            if c:
+                for i in range(j, self.n):
+                    if row[i]:
+                        col[i] = (col[i] - c * row[i]) % p
+        piv = next((i for i in range(self.n) if col[i]), -1)
+        if piv < 0:
+            return False
+        inv = pow(col[piv], -1, p)
+        for i in range(piv, self.n):
+            col[i] = col[i] * inv % p
+        self._rows.append(col)
+        self._pos.append(piv)
+        self.rank += 1
+        return True
+
+
 class RankTracker:
     """Incremental rank over GF(p) for a random 62-bit prime."""
 
-    def __init__(self, n_rows: int, prime: Optional[int] = None, seed: int = 0,
-                 engine: str = "auto"):
+    def __init__(self, n_rows: int, prime: Optional[int] = None, seed: int = 0):
         if prime is None:
             prime = random_prime(seed=seed)
         if prime <= 2**40:
             raise ValueError("prime must exceed 2^40")
         self.prime = prime
         self.n_rows = n_rows
-        self._core = make_core(n_rows, prime, engine)
+        self._core = _PythonCore(n_rows, prime)
 
     @property
     def rank(self) -> int:

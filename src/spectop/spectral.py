@@ -37,7 +37,7 @@ __all__ = [
     "giant_gap",
     "gap_at_most",
     "adjacency_seminorm",
-    "rayleigh_bounds",
+    "rayleigh_bound",
 ]
 
 # eigenvalues below this count as kernel; dense solver residuals are ~1e-12
@@ -268,8 +268,8 @@ def adjacency_seminorm(g: Graph) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def rayleigh_bounds(g: Graph, f) -> tuple[float, float]:
-    """Eigenvalue bounds from one test vector f orthogonal to T^{1/2} * ones.
+def rayleigh_bound(g: Graph, f) -> float:
+    """Eigenvalue bound from one test vector f orthogonal to T^{1/2} * ones.
 
     With R = f^t T^{-1/2} A T^{-1/2} f / ||f||^2, both lambda_2 <= 1 - R and
     lambda_max >= 1 - R hold; the caller picks the relevant side per sign(R).
@@ -293,5 +293,4 @@ def rayleigh_bounds(g: Graph, f) -> tuple[float, float]:
     u = f * dinv
     quad = sum(float(u[v] * u[nbrs].sum()) for v, nbrs in enumerate(g.adj) if nbrs.size)
     supported = float(f[deg > 0] @ f[deg > 0])
-    bound = (supported - quad) / float(fnorm**2)
-    return bound, bound
+    return (supported - quad) / float(fnorm**2)

@@ -55,6 +55,7 @@ class TestConstruction:
         assert len(g.adj) == g.n == n
         assert_valid_graph(g)
         assert g.edge_count == len({(min(e), max(e)) for e in edges})
+        assert {tuple(e) for e in g.edges()} == {(min(e), max(e)) for e in edges}
         assert g.degrees.sum() == 2 * g.edge_count
         assert g.sparse_adjacency().nnz == 2 * g.edge_count
 

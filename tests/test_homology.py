@@ -4,7 +4,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from spectop._modrank import HAVE_NUMBA, is_prime_u64, make_core
 from spectop.complexes import (
     binom_table,
     complex_from_faces,
@@ -21,6 +20,7 @@ from spectop.homology import (
     betti_dminus1,
     betti_stripped_identity,
     boundary_matrix,
+    is_prime_u64,
     rank_exact,
     rank_mod_p,
     random_prime,
@@ -137,30 +137,32 @@ class TestRank:
         with pytest.raises(ValueError):
             rank_exact(np.zeros((2001, 5)))
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="python engine is the default")
-    def test_engines_agree(self):
-        p = random_prime(seed=21)
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            m = boundary_matrix(sample_complex(8, 2, float(rng.uniform(0.2, 0.8)),
-                                               seed=int(rng.integers(10_000))))
-            ta = RankTracker(m.n_rows, prime=p, engine="numba")
-            tb = RankTracker(m.n_rows, prime=p, engine="python")
-            assert rank_mod_p(m, ta) == rank_mod_p(m, tb)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="needs the uint64 kernel")
-    def test_montgomery_matches_python_ints(self):
-        p = random_prime(seed=33)
-        core = make_core(4, p, engine="numba")
-        rng = np.random.default_rng(8)
-        r = 1 << 64
-        for _ in range(200):
-            a, b = (int(rng.integers(0, p, dtype=np.uint64)) for _ in range(2))
-            am, bm = core._to_mont(a), core._to_mont(b)
-            from spectop._modrank import _mont_mul
-
-            got = int(_mont_mul(np.uint64(am), np.uint64(bm), core.p, core.pprime))
-            assert got == (a * b % p) * r % p
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tracker_matches_exact_on_general_columns(self, seed):
+        # entries in [-3, 3] and at most 16 rows keep every minor below
+        # 12^16 < 2^61 < p in absolute value (Hadamard), so no prime can
+        # lower the rank and the two ranks must agree exactly
+        rng = np.random.default_rng(500 + seed)
+        nr, nc = int(rng.integers(1, 17)), int(rng.integers(3, 17))
+        k = int(rng.integers(1, min(nr, nc) + 1))
+        # each column is a signed sum of at most 3 columns of a {-1, 0, 1}
+        # basis: entries stay in [-3, 3] and the rank is usually below
+        # min(nr, nc), so dependent columns must reduce to zero
+        basis = rng.integers(-1, 2, size=(nr, k))
+        mix = np.zeros((k, nc), dtype=np.int64)
+        for j in range(nc):
+            picks = rng.choice(k, size=min(3, k), replace=False)
+            mix[picks, j] = rng.choice([-1, 1], size=picks.size)
+        a = basis @ mix
+        zero, src, dst = rng.choice(nc, size=3, replace=False)
+        a[:, zero] = 0
+        a[:, dst] = a[:, src]
+        tracker = RankTracker(nr, seed=seed)
+        grew = 0
+        for j in range(nc):
+            rows = np.flatnonzero(a[:, j])
+            grew += tracker.add_column(rows, a[rows, j])
+        assert tracker.rank == grew == rank_exact(a)
 
 
 class TestBetti:

@@ -14,7 +14,7 @@ from spectop.spectral import (
     gap_at_most,
     giant_gap,
     normalized_laplacian,
-    rayleigh_bounds,
+    rayleigh_bound,
 )
 from helpers import (
     complete,
@@ -216,7 +216,7 @@ class TestRayleighBounds:
         # path u-v-w-x with f = e_v - e_w: R = -1/2, so lambda_max >= 3/2
         g = path(4)
         f = np.array([0.0, 1.0, -1.0, 0.0])
-        upper2, lowern = rayleigh_bounds(g, f)
+        upper2 = lowern = rayleigh_bound(g, f)
         assert upper2 == pytest.approx(1.5)
         assert lowern == pytest.approx(1.5)
         assert gap(g).lambda_max >= 1.5 - 1e-12
@@ -238,7 +238,7 @@ class TestRayleighBounds:
         f[1] = f[2] = 1.0 / np.sqrt(2.0)
         f[0] = -1.0 / np.sqrt(m)
         f[3] = -1.0 / np.sqrt(m)
-        upper2, _ = rayleigh_bounds(g, f)
+        upper2 = rayleigh_bound(g, f)
         assert upper2 <= 0.5 + 2.0 / np.sqrt(m) + 2.0 / m
         assert gap(g).lambda2 <= upper2 + 1e-9
 
@@ -248,7 +248,7 @@ class TestRayleighBounds:
         vals, vecs = np.linalg.eigh(lap)
         for i in range(len(vals)):
             if vals[i] >= 1.0:
-                _, lower = rayleigh_bounds(g, vecs[:, i])
+                lower = rayleigh_bound(g, vecs[:, i])
                 assert lower == pytest.approx(vals[i], abs=1e-9)
                 break
         else:
@@ -256,15 +256,15 @@ class TestRayleighBounds:
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
-            rayleigh_bounds(complete(3), np.ones(3))
+            rayleigh_bound(complete(3), np.ones(3))
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
-            rayleigh_bounds(complete(3), np.zeros(3))
+            rayleigh_bound(complete(3), np.zeros(3))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            rayleigh_bounds(complete(3), np.array([1.0, -1.0]))
+            rayleigh_bound(complete(3), np.array([1.0, -1.0]))
 
     def test_never_contradicts_spectrum(self):
         rng = np.random.default_rng(100)
@@ -279,7 +279,7 @@ class TestRayleighBounds:
                 f -= (f @ tsqrt) / tn * tsqrt
             if np.linalg.norm(f) < 1e-9:
                 continue
-            upper2, lowern = rayleigh_bounds(g, f)
+            upper2 = lowern = rayleigh_bound(g, f)
             vals = full_spectrum(normalized_laplacian(g)).eigenvalues
             assert upper2 >= vals[1] - 1e-7
             assert lowern <= vals[-1] + 1e-7

@@ -29,6 +29,7 @@ __all__ = [
     "StrippedComplex",
     "binom_table",
     "rank_faces",
+    "facet_ranks",
     "unrank_faces",
     "complex_from_faces",
     "sample_complex",
@@ -61,6 +62,23 @@ def rank_faces(faces: np.ndarray, table: np.ndarray) -> np.ndarray:
     for j in range(k):
         r += table[faces[:, j], j + 1]
     return r
+
+
+def facet_ranks(faces: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(m, k) colex ranks of the facets of m sorted k-rows.
+
+    Column i ranks the row with its i-th vertex deleted, the order in which
+    a boundary column's signs (-1)^i are read.  Vertices before i keep their
+    position j and weigh C(v, j+1); vertices after i drop to j-1 and weigh
+    C(v, j).
+    """
+    faces = np.atleast_2d(faces)
+    cols = np.arange(faces.shape[1])
+    kept = table[faces, cols + 1]
+    shifted = table[faces, cols]
+    before = np.cumsum(kept, axis=1) - kept
+    after = np.cumsum(shifted[:, ::-1], axis=1)[:, ::-1] - shifted
+    return before + after
 
 
 def unrank_faces(ranks: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
@@ -219,8 +237,7 @@ def link(y: Complex, f) -> Graph:
     contains = np.isin(y.faces, f).sum(axis=1) == f.size
     rows = y.faces[contains]
     others = rows[~np.isin(rows, f)].reshape(-1, 2)
-    relabeled = np.searchsorted(outside, others)
-    return from_edges(outside.size, [(int(u), int(v)) for u, v in relabeled])
+    return from_edges(outside.size, np.searchsorted(outside, others))
 
 
 class ComplexStats:
@@ -237,23 +254,17 @@ class ComplexStats:
         self.isolated_count = int(self._table[n, d])
 
     def add_face(self, face) -> None:
-        face = np.asarray(face, dtype=np.int64)
-        for i in range(self.d + 1):
-            sub = np.delete(face, i)
-            r = int(rank_faces(sub[None, :], self._table)[0])
-            if self.degrees[r] == 0:
-                self.isolated_count -= 1
-            self.degrees[r] += 1
+        # the d+1 facets of one face are distinct, so one fancy update is exact
+        r = facet_ranks(np.asarray(face, dtype=np.int64), self._table)[0]
+        self.isolated_count -= int(np.count_nonzero(self.degrees[r] == 0))
+        self.degrees[r] += 1
 
 
 def isolated_faces(y: Complex) -> ComplexStats:
     stats = ComplexStats(y.n, y.d)
     if y.face_count:
-        parts = [
-            rank_faces(np.delete(y.faces, i, axis=1), stats._table)
-            for i in range(y.d + 1)
-        ]
-        counts = np.bincount(np.concatenate(parts), minlength=stats.degrees.size)
+        ranks = facet_ranks(y.faces, stats._table).ravel()
+        counts = np.bincount(ranks, minlength=stats.degrees.size)
         stats.degrees = counts.astype(np.int64)
         stats.isolated_count = int(np.count_nonzero(counts == 0))
     return stats

@@ -21,10 +21,10 @@ from .complexes import (
     ComplexStats,
     FaceProcess,
     binom_table,
+    facet_ranks,
     is_pure,
     isolated_faces,
     link,
-    rank_faces,
     unrank_faces,
 )
 from .graphs import from_edges, induced_subgraph
@@ -129,6 +129,15 @@ def garland_check(y: Complex) -> GarlandReport:
     return GarlandReport(worst, pure, certified, worst_face)
 
 
+def _zuk_vertex(y: Complex, v: int) -> Tuple[Optional[Tuple[float, bool]], bool]:
+    """(link_lambda2 of vertex v, whether the link passes Zuk's clause).
+
+    The clause: the link has edges, is connected and has lambda_2 > 1/2.
+    """
+    got = link_lambda2(y, (v,))
+    return got, got is not None and got[1] and got[0] > 0.5
+
+
 def zuk_check(y: Complex) -> ZukReport:
     """Every vertex link connected with lambda_2 > 1/2, read on Y-tilde.
 
@@ -140,9 +149,11 @@ def zuk_check(y: Complex) -> ZukReport:
     if y.d != 2:
         raise ValueError("vertex-link certificate is for dimension 2")
     all_connected = True
+    all_pass = True
     worst: Optional[float] = None
     for v in range(y.n):
-        got = link_lambda2(y, (v,))
+        got, ok = _zuk_vertex(y, v)
+        all_pass = all_pass and ok
         if got is None:
             all_connected = False
             continue
@@ -150,8 +161,7 @@ def zuk_check(y: Complex) -> ZukReport:
         all_connected = all_connected and connected
         if worst is None or lam2 < worst:
             worst = lam2
-    certified = all_connected and worst is not None and worst > 0.5
-    return ZukReport(all_connected, worst, certified)
+    return ZukReport(all_connected, worst, all_pass)
 
 
 def t_structure(y: Complex) -> StructureVerdict:
@@ -171,16 +181,21 @@ def t_structure(y: Complex) -> StructureVerdict:
     return StructureVerdict(isolated, skeleton_connected, zuk, verdict)
 
 
-def _facet_rows(face: np.ndarray, table: np.ndarray) -> np.ndarray:
-    d1 = face.size
-    facets = np.empty((d1, d1 - 1), dtype=np.int64)
-    for i in range(d1):
-        facets[i] = np.delete(face, i)
-    return rank_faces(facets, table)
+def _certified(y: Complex) -> bool:
+    """t_structure(y).verdict == CERTIFIED, stopping at the first failing link.
+
+    Links are visited sparsest first (ascending face load), since a sparse
+    link is the likeliest to fail; every link a verdict reads is still the
+    same residual-checked eigensolve.
+    """
+    if isolated_faces(y).isolated_count >= y.n - 1:
+        return False
+    load = np.bincount(y.faces.ravel(), minlength=y.n)
+    return all(_zuk_vertex(y, int(v))[1] for v in np.argsort(load, kind="stable"))
 
 
-def _arrivals(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
-    """(m, face) for the m-th arrival, m = 1..total, in arrival order.
+def _arrival_blocks(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
+    """(lo, faces): arrivals lo+1 .. lo+len(faces) as sorted rows.
 
     Arrivals are drawn and unranked 1024 at a time, so a scan that stops
     early has drawn at most one block past where it stopped.
@@ -189,9 +204,33 @@ def _arrivals(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
     lo = 0
     while lo < proc.total:
         hi = min(lo + 1024, proc.total)
-        faces = unrank_faces(proc.first(hi)[lo:], proc.d + 1, table)
-        yield from enumerate(faces, start=lo + 1)
+        yield lo, unrank_faces(proc.first(hi)[lo:], proc.d + 1, table)
         lo = hi
+
+
+def _arrivals(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
+    """(m, face) for the m-th arrival, m = 1..total, in arrival order."""
+    for lo, faces in _arrival_blocks(proc):
+        yield from enumerate(faces, start=lo + 1)
+
+
+def _first_without_isolated(proc: FaceProcess) -> Optional[int]:
+    """M1: the arrival that covers the last uncovered (d-1)-face.
+
+    Each block's facets are ranked at once; np.unique's first index says
+    where in the block each facet is first covered.
+    """
+    table = binom_table(proc.n, proc.d + 1)
+    covered = np.zeros(int(table[proc.n, proc.d]), dtype=bool)
+    uncovered = covered.size
+    for lo, faces in _arrival_blocks(proc):
+        ranks, first = np.unique(facet_ranks(faces, table), return_index=True)
+        new = ~covered[ranks]
+        if np.count_nonzero(new) == uncovered:
+            return lo + 1 + int(first[new].max()) // (proc.d + 1)
+        covered[ranks] = True
+        uncovered -= int(np.count_nonzero(new))
+    return None
 
 
 def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
@@ -211,25 +250,19 @@ def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
     target = math.comb(n - 1, d)
     signs = np.array([1 if i % 2 == 0 else -1 for i in range(d + 1)], dtype=np.int64)
     m1 = m2 = None
-    for m, face in _arrivals(proc):
-        stats.add_face(face)
-        tracker.add_column(_facet_rows(face, table), signs)
-        if m1 is None and stats.isolated_count == 0:
-            m1 = m
-        if m2 is None and tracker.rank == target:
-            m2 = m
-        if m1 is not None and m2 is not None:
-            break
+    for lo, faces in _arrival_blocks(proc):
+        rows = facet_ranks(faces, table)
+        for i, face in enumerate(faces):
+            m = lo + i + 1
+            stats.add_face(face)
+            tracker.add_column(rows[i], signs)
+            if m1 is None and stats.isolated_count == 0:
+                m1 = m
+            if m2 is None and tracker.rank == target:
+                m2 = m
+            if m1 is not None and m2 is not None:
+                return HittingReport(M1=m1, M2=m2)
     return HittingReport(M1=m1, M2=m2)
-
-
-def _first_without_isolated(proc: FaceProcess) -> Optional[int]:
-    stats = ComplexStats(proc.n, proc.d)
-    for m, face in _arrivals(proc):
-        stats.add_face(face)
-        if stats.isolated_count == 0:
-            return m
-    return None
 
 
 def t_hitting(proc: FaceProcess, grid: Sequence[int]) -> HittingReport:
@@ -238,7 +271,9 @@ def t_hitting(proc: FaceProcess, grid: Sequence[int]) -> HittingReport:
     Certification is not monotone in m (each new face reshapes link
     spectra), so a sorted grid is evaluated left to right and the bracket
     between the last inconclusive and the first certified grid point is
-    refined one index at a time.  M1 reports the isolated-edge version.
+    refined one index at a time.  Each index is decided by _certified,
+    which stops at the first failing vertex link.  M1 reports the
+    isolated-edge version.
     """
     if proc.d != 2:
         raise ValueError("structure scan is for dimension 2")
@@ -252,12 +287,12 @@ def t_hitting(proc: FaceProcess, grid: Sequence[int]) -> HittingReport:
     m2t = None
     last_inconclusive = None
     for g in grid:
-        if t_structure(proc.prefix(g)).verdict != CERTIFIED:
+        if not _certified(proc.prefix(g)):
             last_inconclusive = g
             continue
         start = g if last_inconclusive is None else last_inconclusive + 1
         for m in range(start, g + 1):
-            if t_structure(proc.prefix(m)).verdict == CERTIFIED:
+            if _certified(proc.prefix(m)):
                 m2t = m
                 break
         break

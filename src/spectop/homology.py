@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .complexes import Complex, binom_table, isolated_faces, rank_faces, unrank_faces
+from .complexes import Complex, binom_table, facet_ranks, isolated_faces, unrank_faces
 from .seeding import trial_rng
 
 __all__ = [
@@ -99,9 +100,7 @@ class BoundaryMatrix:
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        sg = self.signs
-        for j in range(self.n_cols):
-            out[self.col_rows[j], j] = sg
+        out[self.col_rows, np.arange(self.n_cols)[:, None]] = self.signs
         return out
 
 
@@ -111,10 +110,7 @@ def _boundary_of(n: int, faces: np.ndarray, table: np.ndarray) -> BoundaryMatrix
     if faces.size == 0:
         raise ValueError("cannot infer dimension from an empty face array")
     n_rows = int(table[n, dim])
-    cols = np.empty((faces.shape[0], dim + 1), dtype=np.int64)
-    for i in range(dim + 1):
-        cols[:, i] = rank_faces(np.delete(faces, i, axis=1), table)
-    return BoundaryMatrix(n=n, dim=dim, n_rows=n_rows, col_rows=cols)
+    return BoundaryMatrix(n=n, dim=dim, n_rows=n_rows, col_rows=facet_ranks(faces, table))
 
 
 def boundary_matrix(y: Complex) -> BoundaryMatrix:
@@ -229,17 +225,23 @@ def rank_exact(m) -> int:
     return rank
 
 
+def _hodge_gram(m: BoundaryMatrix) -> np.ndarray:
+    """Dense float64 boundary * boundary^T, built as a sparse product.
+
+    Its entries are small integers, so float64 sums them exactly in any
+    order and the result does not depend on how the product is formed.
+    """
+    indptr = np.arange(0, m.col_rows.size + 1, m.dim + 1)
+    signs = np.tile(m.signs.astype(np.float64), m.n_cols)
+    b_t = csr_matrix((signs, m.col_rows.ravel(), indptr), shape=(m.n_cols, m.n_rows))
+    return (b_t.T @ b_t).toarray()
+
+
 def _rank_hodge(m: BoundaryMatrix) -> int:
     """Rank via the nonzero eigenvalue count of boundary * boundary^T."""
     if m.n_cols == 0:
         return 0
-    gram = np.zeros((m.n_rows, m.n_rows))
-    sg = m.signs.astype(np.float64)
-    outer = np.outer(sg, sg)
-    for j in range(m.n_cols):
-        r = m.col_rows[j]
-        gram[np.ix_(r, r)] += outer
-    vals = np.linalg.eigvalsh(gram)
+    vals = np.linalg.eigvalsh(_hodge_gram(m))
     thresh = 1e-6 * max(vals[-1], 1.0)
     return int(np.count_nonzero(vals > thresh))
 

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from spectop.audit import fuzz_set
@@ -13,6 +14,7 @@ from spectop.complexes import (
     complex_from_faces,
     expected_isolated,
     face_process,
+    facet_ranks,
     is_pure,
     isolated_faces,
     link,
@@ -154,6 +156,21 @@ class TestFaceProcess:
         assert stat <= chi2.ppf(0.99, total - 1)
 
 
+class TestFacetRanks:
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 4), extra=st.integers(0, 6), data=st.data())
+    def test_columns_rank_the_deleted_vertex_rows(self, d, extra, data):
+        n = d + 1 + extra
+        table = binom_table(n, d + 1)
+        ranks = data.draw(st.lists(st.integers(0, math.comb(n, d + 1) - 1),
+                                   max_size=20, unique=True))
+        faces = unrank_faces(np.asarray(ranks, dtype=np.int64), d + 1, table)
+        got = facet_ranks(faces, table)
+        assert got.shape == (len(ranks), d + 1) and got.dtype == np.int64
+        for i in range(d + 1):
+            assert np.array_equal(got[:, i], rank_faces(np.delete(faces, i, axis=1), table))
+
+
 class TestLink:
     def test_full_complex_link_is_complete(self):
         lk = link(full_complex(5, 2), (0,))
@@ -171,6 +188,11 @@ class TestLink:
         # outside vertices 2,3,4 relabel to 0,1,2; edges {2,3},{2,4}
         assert lk.edge_count == 2
         assert lk.has_edge(0, 1) and lk.has_edge(0, 2)
+
+    def test_vertex_in_no_face(self):
+        y = complex_from_faces(6, 2, [(1, 2, 3), (2, 4, 5)])
+        lk = link(y, (0,))
+        assert lk.n == 5 and lk.edge_count == 0
 
     def test_degree_sum_counts_incident_faces(self):
         y = sample_complex(10, 2, 0.25, seed=6)

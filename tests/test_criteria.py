@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectop.complexes import (
+    ComplexStats,
     binom_table,
     complex_from_faces,
     face_process,
@@ -16,6 +17,7 @@ from spectop.complexes import (
 from spectop.criteria import (
     CERTIFIED,
     INCONCLUSIVE,
+    _certified,
     cohomology_hitting,
     garland_check,
     graph_connectivity_hitting,
@@ -67,6 +69,34 @@ def battery(seed=0):
         out.append(sample_complex(n, d, float(rng.uniform(0.15, 0.95)),
                                   seed=int(rng.integers(1 << 30))))
     return out
+
+
+def reference_t_hitting(proc, grid):
+    """Full-scan t_hitting: a per-arrival ComplexStats M1 and a t_structure
+    verdict, every link solved, at each index the grid scan visits."""
+    table = binom_table(proc.n, 3)
+    stats = ComplexStats(proc.n, 2)
+    m1 = None
+    for m in range(1, proc.total + 1):
+        stats.add_face(unrank_faces(proc.first(m)[m - 1:], 3, table)[0])
+        if stats.isolated_count == 0:
+            m1 = m
+            break
+    m2t = None
+    last_inconclusive = None
+    for g in grid:
+        if t_structure(proc.prefix(g)).verdict != CERTIFIED:
+            last_inconclusive = g
+            continue
+        start = g if last_inconclusive is None else last_inconclusive + 1
+        m2t = next(m for m in range(start, g + 1)
+                   if t_structure(proc.prefix(m)).verdict == CERTIFIED)
+        break
+    return m1, m2t
+
+
+def harness_grid(total, points):
+    return sorted(set(int(round(x)) for x in np.linspace(0, total, points)))
 
 
 class TestGarland:
@@ -211,6 +241,88 @@ class TestStructureVerdict:
         assert checked >= 3
 
 
+class TestEarlyExitCertified:
+    """_certified must be exactly t_structure(y).verdict == CERTIFIED."""
+
+    @staticmethod
+    def assert_agrees(y):
+        assert _certified(y) == (t_structure(y).verdict == CERTIFIED)
+
+    def test_hand_built_cases(self):
+        path_pairs = [(i, i + 1) for i in range(11)]
+        cases = [
+            full_skeleton(5, 2),
+            full_skeleton(8, 2),
+            complex_from_faces(6, 2, []),
+            complex_from_faces(5, 2, [(0, 1, 2)]),
+            complex_from_faces(5, 2, [(0, 1, 2), (0, 3, 4)]),
+            pendant_edge_gadget(8, [(6, 7)]),
+            pendant_edge_gadget(9, [(0, 1), (2, 3)]),
+            # n-2 isolated edges: certified; n-1: the skeleton splits
+            # while every vertex link still passes
+            pendant_edge_gadget(12, path_pairs[:10]),
+            pendant_edge_gadget(12, path_pairs),
+            # vertex 0 in no face: its n-1 edges are all isolated
+            complex_from_faces(7, 2, list(combinations(range(1, 7), 3))),
+        ]
+        verdicts = [t_structure(y).verdict for y in cases]
+        assert verdicts.count(CERTIFIED) == 5
+        assert t_structure(cases[8]).zuk_on_stripped.certified
+        for y in cases:
+            self.assert_agrees(y)
+
+    def test_visits_links_sparsest_first_and_stops_at_a_failure(self, monkeypatch):
+        import spectop.criteria as criteria
+
+        y = pendant_edge_gadget(9, [(0, 1), (2, 3)])
+        load = np.bincount(y.faces.ravel(), minlength=y.n)
+        order = [int(v) for v in np.argsort(load, kind="stable")]
+        assert len(set(load.tolist())) > 1
+        visited = []
+        solve = criteria.link_lambda2
+
+        def spy(y, f):
+            visited.append(f[0])
+            return solve(y, f)
+
+        monkeypatch.setattr(criteria, "link_lambda2", spy)
+        assert _certified(y)
+        assert visited == order
+        # the densest link, visited last, failing on its own still decides
+        visited.clear()
+        monkeypatch.setattr(
+            criteria, "link_lambda2",
+            lambda y, f: None if f[0] == order[-1] else spy(y, f),
+        )
+        assert not _certified(y)
+        visited.clear()
+        monkeypatch.setattr(
+            criteria, "link_lambda2",
+            lambda y, f: (0.5, True) if f[0] == order[2] else spy(y, f),
+        )
+        assert not _certified(y)
+        assert visited == order[:2]
+
+    def test_battery(self):
+        for y in battery(seed=5):
+            if y.d == 2:
+                self.assert_agrees(y)
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 20, 25])
+    def test_process_prefixes_across_density(self, n):
+        for seed in range(2):
+            proc = face_process(n, 2, seed=seed)
+            for m in harness_grid(proc.total, 15):
+                self.assert_agrees(proc.prefix(m))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prefixes_around_first_certified(self, seed):
+        proc = face_process(25, 2, seed=seed)
+        m2t = t_hitting(proc, harness_grid(proc.total, 100)).M2T
+        for m in range(max(m2t - 15, 0), min(m2t + 15, proc.total) + 1):
+            self.assert_agrees(proc.prefix(m))
+
+
 class TestCohomologyHitting:
     def test_degenerate_single_face(self):
         h = cohomology_hitting(face_process(3, 2, seed=0))
@@ -294,6 +406,22 @@ class TestTHitting:
         h = t_hitting(proc, [proc.total])
         assert isolated_faces(proc.prefix(h.M1)).isolated_count == 0
         assert isolated_faces(proc.prefix(h.M1 - 1)).isolated_count > 0
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_full_scan_reference(self, seed):
+        proc = face_process(25, 2, seed=seed)
+        grid = harness_grid(proc.total, 100)
+        h = t_hitting(proc, grid)
+        assert (h.M1, h.M2T) == reference_t_hitting(proc, grid)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+    def test_dense_grid_matches_full_scan_reference(self, n):
+        for seed in range(2):
+            proc = face_process(n, 2, seed=100 + seed)
+            grid = list(range(proc.total + 1))
+            h = t_hitting(proc, grid)
+            assert (h.M1, h.M2T) == reference_t_hitting(proc, grid)
 
 
 class TestConnectivityHitting:

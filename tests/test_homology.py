@@ -17,6 +17,7 @@ from spectop.graphs import components, from_edges
 from spectop.homology import (
     BoundaryMatrix,
     RankTracker,
+    _hodge_gram,
     betti_dminus1,
     betti_stripped_identity,
     boundary_matrix,
@@ -29,6 +30,24 @@ from spectop.homology import (
 
 def full_complex(n, d):
     return complex_from_faces(n, d, list(combinations(range(n), d + 1)))
+
+
+def dense_by_columns(m):
+    """Reference dense boundary matrix, filled one column at a time."""
+    out = np.zeros((m.n_rows, m.n_cols), dtype=np.int64)
+    for j in range(m.n_cols):
+        out[m.col_rows[j], j] = m.signs
+    return out
+
+
+def gram_by_columns(m):
+    """Reference boundary * boundary^T, accumulated one column at a time."""
+    gram = np.zeros((m.n_rows, m.n_rows))
+    outer = np.outer(m.signs, m.signs).astype(np.float64)
+    for j in range(m.n_cols):
+        r = m.col_rows[j]
+        gram[np.ix_(r, r)] += outer
+    return gram
 
 
 def edge_rank(n, u, v):
@@ -78,6 +97,26 @@ class TestBoundaryMatrix:
         m = boundary_matrix(y)
         dense = m.dense()
         assert np.all(np.count_nonzero(dense, axis=0) == 4)
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_matches_column_loop(self, d, seed):
+        m = boundary_matrix(sample_complex(10, d, 0.3, seed=seed))
+        assert np.array_equal(m.dense(), dense_by_columns(m))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hodge_gram_matches_column_loop(self, seed):
+        y = sample_complex(16, 2, 0.35, seed=seed)
+        m = boundary_matrix(y)
+        gram = _hodge_gram(m)
+        assert gram.dtype == np.float64
+        assert np.array_equal(gram, gram_by_columns(m))
+        # the (d-1)-boundary of the kept faces, as betti_stripped_identity builds it
+        kept = np.flatnonzero(isolated_faces(y).degrees > 0)
+        table = binom_table(16, 3)
+        low = boundary_matrix(complex_from_faces(16, 1, unrank_faces(kept, 2, table)))
+        assert np.array_equal(_hodge_gram(low), gram_by_columns(low))
 
 
 class TestRank:

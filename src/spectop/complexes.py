@@ -218,12 +218,9 @@ def face_process(n: int, d: int, seed: int = 0) -> FaceProcess:
     return FaceProcess(n, d, seed)
 
 
-def link(y: Complex, f) -> Graph:
-    """Graph on the vertices outside f with u~v iff f ∪ {u,v} is a face.
-
-    f is a (d-2)-dimensional face, i.e. d-1 vertices; the link vertices are
-    relabeled to 0..n-d in increasing original order.
-    """
+def _link_edges(y: Complex, f):
+    """(f, edges): the validated face f and the edges {u, v} of its link, in
+    original vertex labels, one row per d-face containing f."""
     if y.d < 2:
         raise ValueError("links need dimension >= 2")
     f = np.asarray(f, dtype=np.int64)
@@ -231,13 +228,31 @@ def link(y: Complex, f) -> Graph:
         raise ValueError(f"link face must have {y.d - 1} vertices")
     if f.size and (np.any(np.diff(f) <= 0) or f.min() < 0 or f.max() >= y.n):
         raise ValueError("link face must be strictly increasing and in range")
-    outside = np.setdiff1d(np.arange(y.n), f)
-    if y.face_count == 0:
-        return from_edges(outside.size, [])
     contains = np.isin(y.faces, f).sum(axis=1) == f.size
     rows = y.faces[contains]
-    others = rows[~np.isin(rows, f)].reshape(-1, 2)
-    return from_edges(outside.size, np.searchsorted(outside, others))
+    return f, rows[~np.isin(rows, f)].reshape(-1, 2)
+
+
+def link(y: Complex, f) -> Graph:
+    """Graph on the vertices outside f with u~v iff f ∪ {u,v} is a face.
+
+    f is a (d-2)-dimensional face, i.e. d-1 vertices; the link vertices are
+    relabeled to 0..n-d in increasing original order.
+    """
+    f, edges = _link_edges(y, f)
+    outside = np.setdiff1d(np.arange(y.n), f)
+    return from_edges(outside.size, np.searchsorted(outside, edges))
+
+
+def _positive_link(y: Complex, f) -> Graph:
+    """link(y, f) restricted to its positive-degree vertices, built once.
+
+    Those vertices are relabeled 0..k-1 in increasing original order, as
+    induced_subgraph(link(y, f), positive-degree vertices) would.
+    """
+    _, edges = _link_edges(y, f)
+    keep = np.unique(edges)
+    return from_edges(keep.size, np.searchsorted(keep, edges))
 
 
 class ComplexStats:

@@ -5,11 +5,25 @@ that shortcut is invalid once isolated (d-1)-faces are stripped, so the
 stripped complex gets an honest chain-level computation (kept faces minus
 the two boundary ranks).
 
-Rank engines: prime-field elimination with a random 62-bit prime (fast,
-error is one-sided: a bad prime can only lower the reported rank, with
-probability at most dim/2^62 per run), fraction-free integer elimination
-(exact, size-capped), and for the full-skeleton Betti a spectral kernel
-count of boundary * boundary^T.
+Rank engines:
+
+- batch mod-p (rank_mod_p, reaches_rank): blocked elimination over GF(p),
+  p a random prime in [2^22, 2^23), of the gram G of the boundary matrix's
+  smaller side (B B^T or B^T B, so rank_Q(G) = rank_Q(B)).  Residues are
+  stored exactly as float32 and each trailing update is one float64 BLAS
+  matmul (see _eliminate).  Its error is one-sided.  A mod-p rank never
+  exceeds the rational rank, so "rank reaches the target" is a proof.  A
+  rank below the rational rank r needs p to divide a fixed nonzero r x r
+  minor of G, whose size is at most its Hadamard bound H; that minor has
+  at most log2(H)/22 prime factors in [2^22, 2^23), which holds 268216
+  primes, so one random prime errs with probability at most
+  (log2(H)/22) / 268216, and two distinct random primes, whose maximum is
+  reported, at most the square of that.
+- streaming mod-p (RankTracker): one column at a time over a random 62-bit
+  prime on Python integers; a bad prime can only lower the rank, with
+  probability at most dim/2^62 per run.
+- fraction-free integer elimination (rank_exact): exact, size-capped.
+- for the full-skeleton Betti, a spectral kernel count of B B^T.
 """
 from __future__ import annotations
 
@@ -18,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .complexes import Complex, binom_table, facet_ranks, isolated_faces, unrank_faces
 from .seeding import trial_rng
@@ -30,12 +43,22 @@ __all__ = [
     "random_prime",
     "boundary_matrix",
     "rank_mod_p",
+    "reaches_rank",
     "rank_exact",
     "betti_dminus1",
     "betti_stripped_identity",
 ]
 
 _EXACT_CAP = 2000
+
+# Batch engine sizes.  A prime below 2^23 keeps every residue exact in
+# float32 (integers up to 2^24 are), and a trailing update sums at most
+# _PANEL products below p^2, exact in float64 while _PANEL * (p-1)^2 + p
+# stays below 2^53.  Trailing rows are upcast _CHUNK at a time, so the
+# float64 copies stay small next to the float32 matrix.
+_PRIME_BITS = 23
+_PANEL = 64
+_CHUNK = 128
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -65,13 +88,24 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-def random_prime(bits: int = 62, seed: int = 0) -> int:
+def _random_primes(bits: int, seed: int, count: int) -> list:
     rng = trial_rng(seed)
     lo, hi = 1 << (bits - 1), 1 << bits
-    while True:
+    primes: list = []
+    while len(primes) < count:
         cand = int(rng.integers(lo, hi, dtype=np.uint64)) | 1
-        if is_prime_u64(cand):
-            return cand
+        if is_prime_u64(cand) and cand not in primes:
+            primes.append(cand)
+    return primes
+
+
+def random_prime(bits: int = 62, seed: int = 0) -> int:
+    return _random_primes(bits, seed, 1)[0]
+
+
+def _field_primes(seed: int) -> list:
+    """The batch engine's two distinct primes in [2^22, 2^23)."""
+    return _random_primes(_PRIME_BITS, seed, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,14 +221,101 @@ class RankTracker:
         return self.add_column(rows, signs)
 
 
-def rank_mod_p(m: BoundaryMatrix, tracker: Optional[RankTracker] = None,
-               seed: int = 0) -> int:
-    if tracker is None:
-        tracker = RankTracker(m.n_rows, seed=seed)
-    sg = m.signs
-    for j in range(m.n_cols):
-        tracker.add_column(m.col_rows[j], sg)
-    return tracker.rank
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x minus its nearest multiple of p, in place: a residue in (-p, p).
+
+    Exact for integer-valued float64 |x| < 2^53: the quotient may be off by
+    one near a half, but q * p is then still an integer within p of x.
+    """
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _eliminate(a: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of the float32 integer matrix a, which it overwrites.
+
+    Entries must lie in (-p, p) and stay residues in (-p, p) throughout.
+    Right-looking blocked elimination with pivot rows swapped to the top.
+    Each panel of _PANEL columns is factored on a float64 copy, left-looking:
+    a column gets all earlier pivots of the panel as one matrix-vector
+    product.  The rows under the panel then get their trailing update
+    L21 @ U12 as one matmul per _CHUNK rows, U12 being the pivot rows'
+    trailing part solved against the panel's unit lower triangle.  Every
+    such sum has at most _PANEL products of residues.
+    """
+    assert p < 1 << 24 and _PANEL * (p - 1) ** 2 + p < 1 << 53, "sums must stay exact"
+    assert -p < a.min(initial=0) and a.max(initial=0) < p, "entries must be residues"
+    nr, nc = a.shape
+    r = 0
+    for c0 in range(0, nc, _PANEL):
+        if r == nr:
+            break
+        c1 = min(c0 + _PANEL, nc)
+        panel = a[r:, c0:c1].astype(np.float64)
+        lower = np.zeros((nr - r, c1 - c0))  # column t: multipliers of pivot t
+        upper = np.zeros((c1 - c0, c1 - c0))  # row t: pivot row t, eliminated
+        k = 0
+        for j in range(c1 - c0):
+            col = _reduce(panel[k:, j] - lower[k:, :k] @ upper[:k, j], p)
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            i = int(nz[0])
+            if i:
+                panel[[k, k + i]] = panel[[k + i, k]]
+                lower[[k, k + i]] = lower[[k + i, k]]
+                a[[r + k, r + k + i], c1:] = a[[r + k + i, r + k], c1:]
+                col[[0, i]] = col[[i, 0]]
+            upper[k, j + 1:] = _reduce(panel[k, j + 1:] - lower[k, :k] @ upper[:k, j + 1:], p)
+            lower[k + 1:, k] = _reduce(col[1:] * pow(int(col[0]) % p, -1, p), p)
+            k += 1
+        if k and c1 < nc:
+            u12 = a[r:r + k, c1:].astype(np.float64)
+            for t in range(1, k):
+                u12[t] -= lower[t, :t] @ u12[:t]
+                _reduce(u12[t], p)
+            for s in range(r + k, nr, _CHUNK):
+                e = min(s + _CHUNK, nr)
+                block = a[s:e, c1:].astype(np.float64)
+                block -= lower[s - r:e - r, :k] @ u12
+                a[s:e, c1:] = _reduce(block, p)
+        r += k
+    return r
+
+
+def _gram_rank(m: BoundaryMatrix, p: int) -> int:
+    """Rank over GF(p) of m's smaller-side gram; never above rank_Q(m)."""
+    if m.n_cols == 0:
+        return 0
+    if m.n_cols < m.n_rows:
+        b = m.dense().astype(np.float32)
+        gram = b.T @ b
+    else:
+        gram = _hodge_gram(m, np.float32)
+    return _eliminate(gram, p)
+
+
+def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
+    """Rank of m, the larger of its batch mod-p ranks at two random primes.
+
+    Never above the rational rank; below it with the probability bounded in
+    the module docstring.
+    """
+    return max(_gram_rank(m, p) for p in _field_primes(seed))
+
+
+def reaches_rank(m: BoundaryMatrix, target: int, seed: int = 0) -> bool:
+    """Whether rank_Q(m) >= target, decided by the batch mod-p engine.
+
+    True is exact: some prime already gives that rank.  False means both
+    primes fell short, which is wrong only with the probability bounded in
+    the module docstring.  The second prime runs only after the first
+    falls short.
+    """
+    return any(_gram_rank(m, p) >= target for p in _field_primes(seed))
 
 
 def rank_exact(m) -> int:
@@ -225,16 +346,17 @@ def rank_exact(m) -> int:
     return rank
 
 
-def _hodge_gram(m: BoundaryMatrix) -> np.ndarray:
-    """Dense float64 boundary * boundary^T, built as a sparse product.
+def _hodge_gram(m: BoundaryMatrix, dtype=np.float64) -> np.ndarray:
+    """Dense boundary * boundary^T, summed in place from each column's
+    (d+1)^2 sign products.
 
-    Its entries are small integers, so float64 sums them exactly in any
-    order and the result does not depend on how the product is formed.
+    Its entries are small integers, so float32 or float64 sums them exactly
+    in any order and the result does not depend on how it is formed.
     """
-    indptr = np.arange(0, m.col_rows.size + 1, m.dim + 1)
-    signs = np.tile(m.signs.astype(np.float64), m.n_cols)
-    b_t = csr_matrix((signs, m.col_rows.ravel(), indptr), shape=(m.n_cols, m.n_rows))
-    return (b_t.T @ b_t).toarray()
+    gram = np.zeros((m.n_rows, m.n_rows), dtype=dtype)
+    r = m.col_rows
+    np.add.at(gram, (r[:, :, None], r[:, None, :]), np.outer(m.signs, m.signs).astype(dtype))
+    return gram
 
 
 def _rank_hodge(m: BoundaryMatrix) -> int:

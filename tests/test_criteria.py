@@ -6,9 +6,11 @@ import pytest
 
 from spectop.complexes import (
     ComplexStats,
+    _positive_link,
     binom_table,
     complex_from_faces,
     face_process,
+    facet_ranks,
     isolated_faces,
     link,
     sample_complex,
@@ -27,7 +29,7 @@ from spectop.criteria import (
     zuk_check,
 )
 from spectop.graphs import components, from_edges, induced_subgraph
-from spectop.homology import betti_dminus1, betti_stripped_identity
+from spectop.homology import RankTracker, betti_dminus1, betti_stripped_identity
 from spectop.spectral import full_spectrum, gap, normalized_laplacian
 
 
@@ -95,8 +97,49 @@ def reference_t_hitting(proc, grid):
     return m1, m2t
 
 
+def streaming_cohomology_hitting(proc, seed):
+    """Per-face reference scan: a ComplexStats degree table for M1 and a
+    RankTracker fed every arriving boundary column for M2."""
+    n, d = proc.n, proc.d
+    table = binom_table(n, d + 1)
+    stats = ComplexStats(n, d)
+    tracker = RankTracker(int(table[n, d]), seed=seed)
+    target = math.comb(n - 1, d)
+    signs = np.array([1 if i % 2 == 0 else -1 for i in range(d + 1)], dtype=np.int64)
+    faces = unrank_faces(proc.first(proc.total), d + 1, table)
+    m1 = m2 = None
+    for m, face in enumerate(faces, start=1):
+        stats.add_face(face)
+        tracker.add_column(facet_ranks(face, table)[0], signs)
+        if m1 is None and stats.isolated_count == 0:
+            m1 = m
+        if m2 is None and tracker.rank == target:
+            m2 = m
+        if m1 is not None and m2 is not None:
+            return m1, m2
+    return m1, m2
+
+
 def harness_grid(total, points):
     return sorted(set(int(round(x)) for x in np.linspace(0, total, points)))
+
+
+class TestPositiveLink:
+    @pytest.mark.parametrize("n,d", [(8, 2), (10, 2), (13, 2), (8, 3), (9, 3)])
+    def test_laplacian_matches_two_step_build(self, n, d):
+        # the old link_lambda2 build: link on all outside vertices, then
+        # induced_subgraph on the positive-degree ones
+        for seed in range(3):
+            proc = face_process(n, d, seed=seed)
+            for m in np.linspace(0, proc.total, 7).astype(int):
+                y = proc.prefix(int(m))
+                for f in combinations(range(n), d - 1):
+                    lk = link(y, f)
+                    keep = np.flatnonzero(lk.degrees > 0)
+                    old = normalized_laplacian(induced_subgraph(lk, keep))
+                    new = normalized_laplacian(_positive_link(y, f))
+                    assert new.shape == old.shape
+                    assert np.array_equal(new, old)
 
 
 class TestGarland:
@@ -360,6 +403,17 @@ class TestCohomologyHitting:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             cohomology_hitting(face_process(6, 1, seed=0))
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 25])
+    def test_matches_streaming_reference(self, n):
+        late = 0
+        for seed in range(40):
+            h = cohomology_hitting(face_process(n, 2, seed=seed), seed=seed)
+            ref = streaming_cohomology_hitting(face_process(n, 2, seed=seed), seed)
+            assert (h.M1, h.M2) == ref, f"seed {seed}"
+            late += ref[1] > ref[0]
+        # seeds with M2 > M1 run the gallop and the bisection
+        assert late >= 1
 
     def test_replayable(self):
         a = cohomology_hitting(face_process(8, 2, seed=21), seed=21)

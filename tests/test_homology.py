@@ -14,10 +14,14 @@ from spectop.complexes import (
     unrank_faces,
 )
 from spectop.graphs import components, from_edges
+import spectop.homology as homology
 from spectop.homology import (
     BoundaryMatrix,
     RankTracker,
+    _eliminate,
+    _field_primes,
     _hodge_gram,
+    _reduce,
     betti_dminus1,
     betti_stripped_identity,
     boundary_matrix,
@@ -25,6 +29,7 @@ from spectop.homology import (
     rank_exact,
     rank_mod_p,
     random_prime,
+    reaches_rank,
 )
 
 
@@ -48,6 +53,30 @@ def gram_by_columns(m):
         r = m.col_rows[j]
         gram[np.ix_(r, r)] += outer
     return gram
+
+
+def rank_at(a, p):
+    """Batch-engine rank of the integer matrix a over GF(p)."""
+    return _eliminate(np.mod(np.asarray(a, dtype=np.int64), p).astype(np.float32), p)
+
+
+def tracker_rank(m, seed):
+    """Rank of a boundary matrix streamed column by column through RankTracker."""
+    tracker = RankTracker(m.n_rows, seed=seed)
+    for j in range(m.n_cols):
+        tracker.add_face_column(m, j)
+    return tracker.rank
+
+
+def small_primes(count):
+    """The first `count` primes from 2^22 up: the batch engine's range."""
+    out = []
+    cand = (1 << 22) + 1
+    while len(out) < count:
+        if is_prime_u64(cand):
+            out.append(cand)
+        cand += 2
+    return out
 
 
 def edge_rank(n, u, v):
@@ -202,6 +231,94 @@ class TestRank:
             rows = np.flatnonzero(a[:, j])
             grew += tracker.add_column(rows, a[rows, j])
         assert tracker.rank == grew == rank_exact(a)
+
+
+class TestBatchEngine:
+    @pytest.fixture
+    def narrow_panels(self, monkeypatch):
+        # panels of 3 columns and chunks of 2 rows: several panels, several
+        # trailing chunks and a short last panel run on every matrix here
+        monkeypatch.setattr(homology, "_PANEL", 3)
+        monkeypatch.setattr(homology, "_CHUNK", 2)
+
+    def test_field_primes(self):
+        p, q = _field_primes(3)
+        assert p != q and _field_primes(3) == [p, q]
+        for x in (p, q):
+            assert 2**22 <= x < 2**23 and is_prime_u64(x)
+        # [4, 8) holds only 5 and 7, so a repeated draw is likely there
+        for seed in range(10):
+            assert sorted(homology._random_primes(3, seed, 2)) == [5, 7]
+
+    def test_reduce_is_exact(self):
+        rng = np.random.default_rng(2)
+        p = _field_primes(0)[0]
+        near = np.arange(-50, 50) * p + rng.integers(-3, 4, size=100)
+        halves = np.arange(-50, 50) * p + p // 2 + rng.integers(0, 2, size=100)
+        wide = rng.integers(-2**52, 2**52, size=2000)
+        x = np.concatenate([near, halves, wide])
+        got = _reduce(x.astype(np.float64), p)
+        assert np.all(np.abs(got) < p)
+        assert np.array_equal(np.mod(got.astype(np.int64), p), np.mod(x, p))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_bareiss(self, seed, narrow_panels):
+        rng = np.random.default_rng(700 + seed)
+        # alternate tall and wide shapes, up to 40 x 40
+        a_side, b_side = sorted(int(x) for x in rng.integers(1, 41, size=2))
+        nr, nc = (b_side, a_side) if seed % 2 else (a_side, b_side)
+        nc = max(nc, 3)
+        k = int(rng.integers(0, min(nr, nc) + 1))
+        # each column a signed sum of at most 3 columns of a {-1, 0, 1}
+        # basis: entries stay in [-3, 3] and the rank is at most k
+        basis = rng.integers(-1, 2, size=(nr, k))
+        mix = np.zeros((k, nc), dtype=np.int64)
+        for j in range(nc):
+            picks = rng.choice(k, size=min(3, k), replace=False)
+            mix[picks, j] = rng.choice([-1, 1], size=picks.size)
+        a = basis @ mix
+        zero, src, dst = rng.choice(nc, size=3, replace=False)
+        a[:, zero] = 0
+        a[:, dst] = a[:, src]
+        assert np.abs(a).max() <= 3
+        assert rank_at(a, _field_primes(seed)[0]) == rank_exact(a)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_streaming_tracker_on_boundaries(self, seed, narrow_panels):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(6, 12))
+        d = int(rng.integers(1, 4))
+        # sparse draws give fewer faces than facets, so rank_mod_p also
+        # takes its B^T B side
+        y = sample_complex(n, d, float(rng.uniform(0.05, 0.9)), seed=seed)
+        m = boundary_matrix(y)
+        assert rank_mod_p(m, seed=seed) == tracker_rank(m, seed)
+
+    def test_both_gram_sides(self):
+        few = boundary_matrix(sample_complex(10, 2, 0.05, seed=1))
+        many = boundary_matrix(sample_complex(10, 2, 0.8, seed=1))
+        assert few.n_cols < few.n_rows < many.n_cols
+        for m in (few, many):
+            assert rank_mod_p(m) == tracker_rank(m, 0) == rank_exact(m)
+
+    def test_one_sided_error_and_two_prime_maximum(self):
+        # diag(p1, p2) has rational rank 2 but loses one pivot to each of
+        # its own primes; a mod-p rank can only undershoot, and the larger
+        # rank over two primes recovers the true one unless both divide
+        p1, p2, p3 = small_primes(3)
+        a = np.diag([p1, p2])
+        assert rank_exact(a) == 2
+        assert rank_at(a, p1) == 1 and rank_at(a, p2) == 1
+        assert rank_at(a, p3) == 2
+        assert max(rank_at(a, p) for p in (p1, p3)) == 2
+        assert max(rank_at(a, p) for p in (p1, p2)) == 1
+
+    def test_reaches_rank_is_a_certificate(self):
+        m = boundary_matrix(full_complex(7, 2))
+        target = math.comb(6, 2)
+        assert reaches_rank(m, target, seed=4)
+        assert not reaches_rank(m, target + 1, seed=4)
+        assert rank_mod_p(m, seed=4) == target
 
 
 class TestBetti:

@@ -14,17 +14,17 @@ surprise is how often they are literally equal.  The d=1 case is the
 classical graph process, where the same scan recovers the connectivity
 time tau_c.
 """
-from spectop.complexes import face_process
+from spectop.complexes import FaceProcess
 from spectop.criteria import cohomology_hitting, graph_connectivity_hitting
 from spectop.seeding import derive_seed
 
 n, d = 20, 2
-print(f"face process on n={n}, d={d}: {face_process(n, d).total} faces total")
+print(f"face process on n={n}, d={d}: {FaceProcess(n, d).total} faces total")
 print("seed   M1    M2    equal")
 equal = 0
 for i in range(10):
     seed = derive_seed(5, i)
-    h = cohomology_hitting(face_process(n, d, seed=seed), seed=seed)
+    h = cohomology_hitting(FaceProcess(n, d, seed=seed), seed=seed)
     equal += h.M1 == h.M2
     print(f"{i:<5} {h.M1:<5} {h.M2:<5} {h.M1 == h.M2}")
 print(f"agreement: {equal}/10")
@@ -37,6 +37,6 @@ print("seed   M1    tau_c  gap(tau_c)  gap*sqrt(log n)")
 import math  # noqa: E402
 
 for i in range(5):
-    h = graph_connectivity_hitting(face_process(n, 1, seed=derive_seed(5, i)))
+    h = graph_connectivity_hitting(FaceProcess(n, 1, seed=derive_seed(5, i)))
     scaled = h.gap.lambda_abs * math.sqrt(math.log(n))
     print(f"{i:<5} {h.M1:<5} {h.tau_c_index:<6} {h.gap.lambda_abs:.4f}      {scaled:.3f}")

@@ -17,7 +17,7 @@ isolated edge.
 """
 from spectop.complexes import sample_complex
 from spectop.criteria import t_hitting, t_structure, zuk_check
-from spectop.complexes import face_process
+from spectop.complexes import FaceProcess
 
 import numpy as np
 
@@ -47,7 +47,7 @@ print()
 
 # along the face process, scan a coarse grid for the first certified prefix
 n = 16
-proc = face_process(n, 2, seed=9)
+proc = FaceProcess(n, 2, seed=9)
 grid = sorted(set(int(x) for x in np.linspace(0, proc.total, 12)))
 h = t_hitting(proc, grid)
 print(f"process on n={n}: {proc.total} faces, grid {grid}")

@@ -20,7 +20,7 @@ seconds, not minutes; its gram is 4950 x 4950 float32, about 98 MB.
 import statistics
 import time
 
-from spectop.complexes import face_process
+from spectop.complexes import FaceProcess
 from spectop.criteria import cohomology_hitting
 from spectop.seeding import derive_seed
 
@@ -33,7 +33,7 @@ for n in (25, 40, 60, 100):
     for i in range(SEEDS):
         seed = derive_seed(8, i)
         t0 = time.perf_counter()
-        h = cohomology_hitting(face_process(n, 2, seed=seed), seed=seed)
+        h = cohomology_hitting(FaceProcess(n, 2, seed=seed), seed=seed)
         seconds.append(time.perf_counter() - t0)
         equal += h.M1 == h.M2
     print(f"{n:<5} {equal:>2}/{SEEDS}      {statistics.median(seconds):>8.3f}"

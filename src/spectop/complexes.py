@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "unrank_faces",
     "complex_from_faces",
     "sample_complex",
-    "face_process",
     "link",
     "isolated_faces",
     "strip_isolated",
@@ -214,10 +212,6 @@ class FaceProcess:
         return -math.log1p(-m / self.total)
 
 
-def face_process(n: int, d: int, seed: int = 0) -> FaceProcess:
-    return FaceProcess(n, d, seed)
-
-
 def _link_edges(y: Complex, f):
     """(f, edges): the validated face f and the edges {u, v} of its link, in
     original vertex labels, one row per d-face containing f."""
@@ -308,15 +302,17 @@ def strip_isolated(y: Complex) -> StrippedComplex:
 
 
 def is_pure(y: Complex) -> bool:
-    """True iff every (d-2)-face lies in some d-face."""
+    """True iff every (d-2)-face lies in some d-face.
+
+    The covered (d-2)-faces are the facets of the (d-1)-faces of positive
+    degree, which are the facets of the d-faces.
+    """
     if y.d < 2:
         raise ValueError("purity check needs dimension >= 2")
     table = binom_table(y.n, y.d + 1)
-    total = int(table[y.n, y.d - 1])
-    covered = np.zeros(total, dtype=bool)
-    for keep in combinations(range(y.d + 1), y.d - 1):
-        if y.face_count:
-            covered[rank_faces(y.faces[:, list(keep)], table)] = True
+    covered = np.zeros(int(table[y.n, y.d - 1]), dtype=bool)
+    positive = np.unique(facet_ranks(y.faces, table))
+    covered[facet_ranks(unrank_faces(positive, y.d, table), table)] = True
     return bool(covered.all())
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .audit import audit, find_path_witness
-from .complexes import face_process, isolated_faces, sample_complex, window_density
+from .complexes import FaceProcess, isolated_faces, sample_complex, window_density
 from .criteria import cohomology_hitting, garland_check, graph_connectivity_hitting, t_hitting
 from .graphs import GraphParams, components, erdos_renyi, induced_subgraph, read_edge_list
 from .homology import betti_dminus1
@@ -190,7 +190,7 @@ def _below_threshold_trial(cfg, p, seed):
 
 
 def _connectivity_gap_trial(cfg, p, seed):
-    h = graph_connectivity_hitting(face_process(cfg.n, 1, seed=seed))
+    h = graph_connectivity_hitting(FaceProcess(cfg.n, 1, seed=seed))
     return {
         "tau_c": h.tau_c_index,
         "m1_no_isolated": h.M1,
@@ -215,17 +215,17 @@ def _link_audit_trial(cfg, p, seed):
 def _poisson_betti_trial(cfg, p, seed):
     y = sample_complex(cfg.n, cfg.d, p, seed=seed)
     iso = isolated_faces(y).isolated_count
-    betti = betti_dminus1(y, method="hodge")
+    betti = betti_dminus1(y, seed=seed)
     return {"isolated": iso, "betti": betti, "identity_holds": betti == iso}
 
 
 def _cohomology_hit_trial(cfg, p, seed):
-    h = cohomology_hitting(face_process(cfg.n, cfg.d, seed=seed), seed=seed)
+    h = cohomology_hitting(FaceProcess(cfg.n, cfg.d, seed=seed), seed=seed)
     return {"m1": h.M1, "m2": h.M2, "coincide": h.M1 == h.M2}
 
 
 def _t_hit_trial(cfg, p, seed):
-    proc = face_process(cfg.n, 2, seed=seed)
+    proc = FaceProcess(cfg.n, 2, seed=seed)
     pts = np.linspace(0, proc.total, cfg.grid_points)
     grid = sorted(set(int(round(x)) for x in pts))
     h = t_hitting(proc, grid)

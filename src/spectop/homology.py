@@ -7,23 +7,35 @@ the two boundary ranks).
 
 Rank engines:
 
-- batch mod-p (rank_mod_p, reaches_rank): blocked elimination over GF(p),
-  p a random prime in [2^22, 2^23), of the gram G of the boundary matrix's
-  smaller side (B B^T or B^T B, so rank_Q(G) = rank_Q(B)).  Residues are
-  stored exactly as float32 and each trailing update is one float64 BLAS
-  matmul (see _eliminate).  Its error is one-sided.  A mod-p rank never
-  exceeds the rational rank, so "rank reaches the target" is a proof.  A
-  rank below the rational rank r needs p to divide a fixed nonzero r x r
-  minor of G, whose size is at most its Hadamard bound H; that minor has
-  at most log2(H)/22 prime factors in [2^22, 2^23), which holds 268216
-  primes, so one random prime errs with probability at most
-  (log2(H)/22) / 268216, and two distinct random primes, whose maximum is
-  reported, at most the square of that.
+- batch mod-p (rank_mod_p, reaches_rank), behind every Betti number:
+  blocked elimination over GF(p), p a random prime in [2^22, 2^23), of a
+  gram G of the boundary matrix B cut to fewer rows.
+  - The row cut.  B's image lies in the cycle space of the full simplex,
+    and for any vertex v the faces avoiding v index coordinates that are
+    injective on that space: a cycle supported on faces through v is a
+    cone v*w whose boundary w - v*(dw) vanishes only if w = 0.  So the
+    rows of B avoiding v keep its rational rank.  G is the gram of the
+    smaller side (B' B'^T or B'^T B', so rank_Q(G) = rank_Q(B)) of B', the
+    nonzero rows avoiding a vertex that lies in the fewest zero rows
+    (ties go to the smallest vertex), which makes B' as short as any such
+    cut.
+  - Residues are stored exactly as float32 and each trailing update is one
+    float64 BLAS matmul (see _eliminate).
+  - Its error is one-sided.  A mod-p rank never exceeds the rational rank,
+    so "rank reaches the target" is a proof, and a G nonsingular mod p
+    gives the rank exactly (mod-p rank <= rational rank <= dim G), so
+    rank_mod_p stops after the first prime then.  A rank below the
+    rational rank r needs p to divide a fixed nonzero r x r minor of G,
+    whose size is at most its Hadamard bound H; that minor has at most
+    log2(H)/22 prime factors in [2^22, 2^23), which holds 268216 primes,
+    so one random prime errs with probability at most
+    (log2(H)/22) / 268216, and two distinct random primes, whose maximum
+    is reported, at most the square of that.
 - streaming mod-p (RankTracker): one column at a time over a random 62-bit
   prime on Python integers; a bad prime can only lower the rank, with
   probability at most dim/2^62 per run.
-- fraction-free integer elimination (rank_exact): exact, size-capped.
-- for the full-skeleton Betti, a spectral kernel count of B B^T.
+- fraction-free integer elimination (rank_exact): exact, size-capped; the
+  tests' oracle.
 """
 from __future__ import annotations
 
@@ -286,25 +298,47 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _gram_rank(m: BoundaryMatrix, p: int) -> int:
-    """Rank over GF(p) of m's smaller-side gram; never above rank_Q(m)."""
-    if m.n_cols == 0:
-        return 0
-    if m.n_cols < m.n_rows:
-        b = m.dense().astype(np.float32)
-        gram = b.T @ b
-    else:
-        gram = _hodge_gram(m, np.float32)
-    return _eliminate(gram, p)
+def _row_cut(m: BoundaryMatrix) -> np.ndarray:
+    """m's nonzero rows avoiding a vertex that lies in the fewest zero rows,
+    ties going to the smallest vertex.  They keep m's rational rank (see the
+    module docstring)."""
+    faces = unrank_faces(np.arange(m.n_rows), m.dim, binom_table(m.n, m.dim))
+    used = np.zeros(m.n_rows, dtype=bool)
+    used[m.col_rows] = True
+    v = np.argmin(np.bincount(faces[~used].ravel(), minlength=m.n))
+    return np.flatnonzero(used & (faces != v).all(axis=1))
+
+
+def _cut_gram(m: BoundaryMatrix) -> np.ndarray:
+    """float32 gram of the smaller side of m cut to _row_cut(m).
+
+    Its rational rank is m's, and its dimension bounds that rank.
+    """
+    rows = _row_cut(m)
+    if m.n_cols < rows.size:
+        b = m.dense()[rows].astype(np.float32)
+        return b.T @ b
+    # the kept rows become 0..k-1 and every other row becomes k, cut away after
+    at = np.full(m.n_rows, rows.size)
+    at[rows] = np.arange(rows.size)
+    cut = BoundaryMatrix(n=m.n, dim=m.dim, n_rows=rows.size + 1, col_rows=at[m.col_rows])
+    return _hodge_gram(cut)[:-1, :-1]
 
 
 def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
-    """Rank of m, the larger of its batch mod-p ranks at two random primes.
+    """Rank of m from its cut gram over two random primes.
 
-    Never above the rational rank; below it with the probability bounded in
-    the module docstring.
+    Exact after the first prime when the gram is nonsingular mod p;
+    otherwise the larger of the two ranks.  Never above the rational rank;
+    below it with the probability bounded in the module docstring.
     """
-    return max(_gram_rank(m, p) for p in _field_primes(seed))
+    rank = 0
+    for p in _field_primes(seed):
+        gram = _cut_gram(m)
+        rank = max(rank, _eliminate(gram, p))
+        if rank == len(gram):
+            break
+    return rank
 
 
 def reaches_rank(m: BoundaryMatrix, target: int, seed: int = 0) -> bool:
@@ -315,7 +349,7 @@ def reaches_rank(m: BoundaryMatrix, target: int, seed: int = 0) -> bool:
     the module docstring.  The second prime runs only after the first
     falls short.
     """
-    return any(_gram_rank(m, p) >= target for p in _field_primes(seed))
+    return any(_eliminate(_cut_gram(m), p) >= target for p in _field_primes(seed))
 
 
 def rank_exact(m) -> int:
@@ -346,49 +380,30 @@ def rank_exact(m) -> int:
     return rank
 
 
-def _hodge_gram(m: BoundaryMatrix, dtype=np.float64) -> np.ndarray:
-    """Dense boundary * boundary^T, summed in place from each column's
-    (d+1)^2 sign products.
+def _hodge_gram(m: BoundaryMatrix) -> np.ndarray:
+    """Dense float32 boundary * boundary^T, summed in place from each
+    column's (d+1)^2 sign products.
 
-    Its entries are small integers, so float32 or float64 sums them exactly
-    in any order and the result does not depend on how it is formed.
+    Its entries are small integers, so float32 sums them exactly in any
+    order and the result does not depend on how it is formed.
     """
-    gram = np.zeros((m.n_rows, m.n_rows), dtype=dtype)
+    gram = np.zeros((m.n_rows, m.n_rows), dtype=np.float32)
     r = m.col_rows
-    np.add.at(gram, (r[:, :, None], r[:, None, :]), np.outer(m.signs, m.signs).astype(dtype))
+    np.add.at(gram, (r[:, :, None], r[:, None, :]), np.outer(m.signs, m.signs).astype(np.float32))
     return gram
 
 
-def _rank_hodge(m: BoundaryMatrix) -> int:
-    """Rank via the nonzero eigenvalue count of boundary * boundary^T."""
-    if m.n_cols == 0:
-        return 0
-    vals = np.linalg.eigvalsh(_hodge_gram(m))
-    thresh = 1e-6 * max(vals[-1], 1.0)
-    return int(np.count_nonzero(vals > thresh))
-
-
-def _rank(m: BoundaryMatrix, method: str, seed: int) -> int:
-    if method == "modp":
-        return rank_mod_p(m, seed=seed)
-    if method == "exact":
-        return rank_exact(m)
-    if method == "hodge":
-        return _rank_hodge(m)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def betti_dminus1(y: Complex, method: str = "modp", seed: int = 0) -> int:
+def betti_dminus1(y: Complex, seed: int = 0) -> int:
     """dim H_{d-1}(Y, Q) = C(n-1, d) - rank(boundary_d).
 
     The closed form for the chain/cycle dimensions needs the complete
     (d-1)-skeleton, which Complex guarantees.
     """
     full_cycles = math.comb(y.n - 1, y.d)
-    return full_cycles - _rank(boundary_matrix(y), method, seed)
+    return full_cycles - rank_mod_p(boundary_matrix(y), seed=seed)
 
 
-def betti_stripped_identity(y: Complex, method: str = "modp", seed: int = 0):
+def betti_stripped_identity(y: Complex, seed: int = 0):
     """(b(Y), b(stripped Y), isolated count).
 
     The stripped Betti is computed on the stripped chain complex: kept
@@ -401,7 +416,7 @@ def betti_stripped_identity(y: Complex, method: str = "modp", seed: int = 0):
     isolated = stats.isolated_count
     table = binom_table(y.n, y.d + 1)
 
-    rank_d = _rank(boundary_matrix(y), method, seed)
+    rank_d = rank_mod_p(boundary_matrix(y), seed=seed)
     b_full = math.comb(y.n - 1, y.d) - rank_d
 
     kept = np.flatnonzero(stats.degrees > 0)
@@ -409,6 +424,6 @@ def betti_stripped_identity(y: Complex, method: str = "modp", seed: int = 0):
         rank_dm1 = 0
     else:
         kept_faces = unrank_faces(kept, y.d, table)
-        rank_dm1 = _rank(_boundary_of(y.n, kept_faces, table), method, seed)
+        rank_dm1 = rank_mod_p(_boundary_of(y.n, kept_faces, table), seed=seed)
     b_stripped = int(kept.size) - rank_dm1 - rank_d
     return b_full, b_stripped, isolated

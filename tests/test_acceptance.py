@@ -19,7 +19,7 @@ import pytest
 import conftest
 from helpers import complete, complete_bipartite, path, two_star_gadget
 from spectop.audit import audit, discrepancy_refute, find_path_witness, fuzz_set, parallel_norm
-from spectop.complexes import face_process, isolated_faces, sample_complex
+from spectop.complexes import FaceProcess, isolated_faces, sample_complex
 from spectop.criteria import CERTIFIED, cohomology_hitting, garland_check, t_structure
 from spectop.graphs import GraphParams, erdos_renyi, from_edges
 from spectop.harness import ExperimentConfig, run_trial
@@ -289,7 +289,7 @@ def test_09_hitting_time_coincidence():
     rechecked = 0
     for i in range(HIT_EXACT_RECHECKS):
         seed = derive_seed(MASTER + 9, i)
-        proc = face_process(HIT_N, 2, seed=seed)
+        proc = FaceProcess(HIT_N, 2, seed=seed)
         h = cohomology_hitting(proc, seed=seed)
         at = rank_exact(boundary_matrix(proc.prefix(h.M2)))
         before = rank_exact(boundary_matrix(proc.prefix(h.M2 - 1)))

@@ -1,5 +1,7 @@
 import math
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from spectop.complexes import (
     binom_table,
     complex_from_faces,
     expected_isolated,
-    face_process,
     facet_ranks,
     is_pure,
     isolated_faces,
@@ -30,6 +31,26 @@ from spectop.complexes import (
 
 def full_complex(n, d):
     return complex_from_faces(n, d, list(combinations(range(n), d + 1)))
+
+
+def is_pure_by_loop(y):
+    """Reference purity check: rank the (d-2)-faces kept by each choice of
+    d-1 of a face's d+1 vertex positions."""
+    table = binom_table(y.n, y.d + 1)
+    covered = np.zeros(int(table[y.n, y.d - 1]), dtype=bool)
+    for keep in combinations(range(y.d + 1), y.d - 1):
+        if y.face_count:
+            covered[rank_faces(y.faces[:, list(keep)], table)] = True
+    return bool(covered.all())
+
+
+@st.composite
+def face_lists(draw, d_range=(1, 4)):
+    """(n, d, faces): an arbitrary list of sorted d-faces, repeats allowed."""
+    d = draw(st.integers(*d_range))
+    n = draw(st.integers(d + 1, d + 6))
+    face = st.sets(st.integers(0, n - 1), min_size=d + 1, max_size=d + 1).map(sorted).map(tuple)
+    return n, d, draw(st.lists(face, max_size=40))
 
 
 class TestRanking:
@@ -73,6 +94,26 @@ class TestComplexConstruction:
         assert y.has_face((0, 2, 4))
         assert not y.has_face((0, 1, 2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(face_lists())
+    def test_invariants_on_arbitrary_face_lists(self, drawn):
+        n, d, faces = drawn
+        distinct = set(faces)
+        y = complex_from_faces(n, d, faces)
+        assert y.faces.shape == (len(distinct), d + 1) and y.faces.dtype == np.int64
+        assert np.all(np.diff(y.faces, axis=1) > 0)
+        assert np.all(np.diff(y.face_ranks()) > 0)
+        assert {tuple(int(v) for v in row) for row in y.faces} == distinct
+        assert all(y.has_face(f) for f in faces)
+        absent = next((f for f in combinations(range(n), d + 1) if f not in distinct), None)
+        if absent is not None:
+            assert not y.has_face(absent)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "y.txt"
+            write_complex(y, path)
+            z = read_complex(path)
+        assert (z.n, z.d) == (n, d) and np.array_equal(z.faces, y.faces)
+
 
 class TestSampleComplex:
     def test_p_one_full(self):
@@ -110,19 +151,19 @@ class TestSampleComplex:
 
 class TestFaceProcess:
     def test_prefix_zero_empty(self):
-        assert face_process(6, 2, seed=1).prefix(0).face_count == 0
+        assert FaceProcess(6, 2, seed=1).prefix(0).face_count == 0
 
     def test_full_prefix_is_complete_skeleton(self):
-        proc = face_process(5, 2, seed=1)
+        proc = FaceProcess(5, 2, seed=1)
         assert proc.prefix(10).face_count == 10
 
     def test_order_is_permutation(self):
-        proc = face_process(5, 2, seed=3)
+        proc = FaceProcess(5, 2, seed=3)
         order = proc.first(proc.total)
         assert np.array_equal(np.sort(order), np.arange(proc.total))
 
     def test_prefixes_nested(self):
-        proc = face_process(7, 2, seed=4)
+        proc = FaceProcess(7, 2, seed=4)
         a = proc.first(5)
         b = proc.first(12)
         assert np.array_equal(a, b[:5])
@@ -133,7 +174,7 @@ class TestFaceProcess:
         assert np.array_equal(a, b)
 
     def test_clock_matches_density(self):
-        proc = face_process(6, 2, seed=0)
+        proc = FaceProcess(6, 2, seed=0)
         assert proc.time_at(0) == 0.0
         m = 7
         t = proc.time_at(m)
@@ -141,7 +182,7 @@ class TestFaceProcess:
         assert proc.time_at(proc.total) == math.inf
 
     def test_degenerate_dimension_one(self):
-        proc = face_process(10, 1, seed=2)
+        proc = FaceProcess(10, 1, seed=2)
         y = proc.prefix(6)
         assert y.faces.shape == (6, 2)
 
@@ -224,7 +265,7 @@ class TestIsolatedFaces:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_incremental_equals_batch(self, seed):
-        proc = face_process(9, 2, seed=seed)
+        proc = FaceProcess(9, 2, seed=seed)
         stats = ComplexStats(9, 2)
         table = binom_table(9, 3)
         checkpoints = {0, 5, 20, 50, proc.total}
@@ -274,10 +315,21 @@ class TestIsPure:
         by_links = all(link(y, (v,)).edge_count > 0 for v in range(7))
         assert is_pure(y) == by_links
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_empty_matches_loop(self, d):
+        y = complex_from_faces(d + 3, d, [])
+        assert is_pure(y) == is_pure_by_loop(y) is False
+
+    @settings(max_examples=150, deadline=None)
+    @given(face_lists(d_range=(2, 4)))
+    def test_matches_loop(self, drawn):
+        y = complex_from_faces(*drawn)
+        assert is_pure(y) == is_pure_by_loop(y)
+
 
 class TestLinkFuzzAlongProcess:
     def test_monotone_decreasing(self):
-        proc = face_process(12, 2, seed=8)
+        proc = FaceProcess(12, 2, seed=8)
         threshold_d, M = 6.0, 2.0
         prev = {v: None for v in range(3)}
         for m in [10, 40, 90, 160, proc.total]:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spectop.complexes import (
+    FaceProcess,
     binom_table,
     complex_from_faces,
-    face_process,
     isolated_faces,
     rank_faces,
     sample_complex,
@@ -18,10 +18,12 @@ import spectop.homology as homology
 from spectop.homology import (
     BoundaryMatrix,
     RankTracker,
+    _boundary_of,
     _eliminate,
     _field_primes,
     _hodge_gram,
     _reduce,
+    _row_cut,
     betti_dminus1,
     betti_stripped_identity,
     boundary_matrix,
@@ -83,6 +85,34 @@ def edge_rank(n, u, v):
     return int(rank_faces(np.array([[u, v]]), binom_table(n, 3))[0])
 
 
+def row_cut_by_loop(m):
+    """Reference row cut: nonzero rows avoiding the smallest vertex among
+    those lying in the fewest zero rows, found one row at a time."""
+    used = set(int(r) for r in m.col_rows.ravel())
+    table = binom_table(m.n, m.dim)
+    faces = [tuple(int(v) for v in unrank_faces(np.array([r]), m.dim, table)[0])
+             for r in range(m.n_rows)]
+    load = [sum(1 for r, f in enumerate(faces) if r not in used and v in f) for v in range(m.n)]
+    v = min(range(m.n), key=lambda u: (load[u], u))
+    return np.array([r for r, f in enumerate(faces) if r in used and v not in f], dtype=np.int64)
+
+
+def stripped_boundary(y):
+    """The (d-1)-boundary of y's faces of positive degree, as
+    betti_stripped_identity builds it."""
+    table = binom_table(y.n, y.d + 1)
+    kept = np.flatnonzero(isolated_faces(y).degrees > 0)
+    return _boundary_of(y.n, unrank_faces(kept, y.d, table), table)
+
+
+def complex_draw(seed, d_choices, p_range):
+    """A sample complex on 5..9 vertices, its shape drawn from seed."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice(d_choices))
+    n = int(rng.integers(max(5, d + 2), 10))
+    return sample_complex(n, d, float(rng.uniform(*p_range)), seed=seed)
+
+
 class TestPrimes:
     def test_known_values(self):
         assert is_prime_u64(2) and is_prime_u64(3) and is_prime_u64((1 << 61) - 1)
@@ -139,7 +169,7 @@ class TestBoundaryMatrix:
         y = sample_complex(16, 2, 0.35, seed=seed)
         m = boundary_matrix(y)
         gram = _hodge_gram(m)
-        assert gram.dtype == np.float64
+        assert gram.dtype == np.float32
         assert np.array_equal(gram, gram_by_columns(m))
         # the (d-1)-boundary of the kept faces, as betti_stripped_identity builds it
         kept = np.flatnonzero(isolated_faces(y).degrees > 0)
@@ -321,6 +351,72 @@ class TestBatchEngine:
         assert rank_mod_p(m, seed=4) == target
 
 
+class TestRowCut:
+    """rank_mod_p eliminates the gram of the rows _row_cut keeps, stopping
+    after one prime when that gram is nonsingular."""
+
+    @pytest.mark.parametrize("seed", range(1100, 1140))
+    def test_matches_loop_and_keeps_rank(self, seed):
+        m = boundary_matrix(complex_draw(seed, [1, 2, 3], (0.02, 0.9)))
+        rows = _row_cut(m)
+        assert np.array_equal(rows, row_cut_by_loop(m))
+        assert rank_exact(m.dense()[rows]) == rank_exact(m)
+
+    def test_every_vertex_in_an_isolated_face(self):
+        cases = [complex_from_faces(6, 2, []), complex_from_faces(6, 3, []),
+                 complex_from_faces(6, 2, [(0, 1, 2)]),
+                 complex_from_faces(7, 3, [(0, 1, 2, 3), (1, 2, 4, 5)])]
+        cases += [complex_draw(seed, [2, 3], (0.02, 0.25)) for seed in range(1200, 1260)]
+        checked = 0
+        for y in cases:
+            zero = isolated_faces(y).degrees == 0
+            faces = unrank_faces(np.flatnonzero(zero), y.d, binom_table(y.n, y.d + 1))
+            if np.unique(faces).size < y.n:
+                continue
+            m = boundary_matrix(y)
+            assert np.array_equal(_row_cut(m), row_cut_by_loop(m))
+            for seed in range(3):
+                assert rank_mod_p(m, seed=seed) == rank_exact(m)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("seed", range(1300, 1330))
+    def test_three_dimensional_boundaries(self, seed):
+        m = boundary_matrix(complex_draw(seed, [3], (0.05, 0.95)))
+        assert rank_mod_p(m, seed=seed) == rank_exact(m)
+
+    @pytest.mark.parametrize("seed", range(1400, 1430))
+    def test_stripped_boundary(self, seed):
+        y = complex_draw(seed, [2, 3], (0.15, 0.6))
+        assert y.face_count
+        m = stripped_boundary(y)
+        assert np.array_equal(_row_cut(m), row_cut_by_loop(m))
+        assert rank_mod_p(m, seed=seed) == rank_exact(m)
+
+    def test_one_elimination_iff_cut_gram_nonsingular(self, monkeypatch):
+        calls = []
+
+        def spy(a, p):
+            calls.append(p)
+            return _eliminate(a, p)
+
+        monkeypatch.setattr(homology, "_eliminate", spy)
+        seen = set()
+        for seed in range(1500, 1560):
+            y = complex_draw(seed, [1, 2, 3], (0.05, 0.9))
+            ms = [boundary_matrix(y)]
+            if y.d >= 2 and y.face_count:
+                ms.append(stripped_boundary(y))
+            for m in ms:
+                calls.clear()
+                rank = rank_mod_p(m, seed=seed)
+                assert rank == rank_exact(m)
+                nonsingular = rank == min(_row_cut(m).size, m.n_cols)
+                assert calls == _field_primes(seed)[:1 if nonsingular else 2]
+                seen.add(nonsingular)
+        assert seen == {True, False}
+
+
 class TestBetti:
     def test_no_triangles(self):
         assert betti_dminus1(complex_from_faces(4, 2, [])) == 3
@@ -331,10 +427,9 @@ class TestBetti:
     def test_one_triangle(self):
         assert betti_dminus1(complex_from_faces(4, 2, [(0, 1, 2)])) == 2
 
-    @pytest.mark.parametrize("method", ["modp", "exact", "hodge"])
-    def test_methods_agree(self, method):
+    def test_matches_exact_rank(self):
         y = sample_complex(10, 2, 0.2, seed=5)
-        assert betti_dminus1(y, method=method) == betti_dminus1(y, method="exact")
+        assert betti_dminus1(y) == math.comb(9, 2) - rank_exact(boundary_matrix(y))
 
     def test_dimension_one_counts_components(self):
         rng = np.random.default_rng(14)
@@ -345,7 +440,7 @@ class TestBetti:
             assert betti_dminus1(y) == len(components(g).sizes) - 1
 
     def test_monotone_along_process(self):
-        proc = face_process(7, 2, seed=6)
+        proc = FaceProcess(7, 2, seed=6)
         prev = math.inf
         for m in range(proc.total + 1):
             b = betti_dminus1(proc.prefix(m))
@@ -377,16 +472,7 @@ class TestStrippedIdentity:
             d = 2
         y = sample_complex(n, d, float(rng.uniform(0.05, 0.8)), seed=seed)
         b, bs, iso = betti_stripped_identity(y, seed=seed)
-        stats = isolated_faces(y)
-        kept = np.flatnonzero(stats.degrees > 0)
-        table = binom_table(n, d + 1)
-        if kept.size:
-            from spectop.homology import _boundary_of
-
-            rank_kept = rank_mod_p(_boundary_of(n, unrank_faces(kept, d, table), table),
-                                   seed=seed)
-        else:
-            rank_kept = 0
+        rank_kept = rank_mod_p(stripped_boundary(y), seed=seed) if y.face_count else 0
         assert b - bs - iso == rank_kept - math.comb(n - 1, d - 1)
         if rank_kept == math.comb(n - 1, d - 1):
             assert b == bs + iso

@@ -10,9 +10,11 @@ at a time in uniform random order.  Two stopping times matter:
        tracked as the boundary matrix reaching rank C(n-1, d).
 
 M2 >= M1 always (an isolated face is a cohomological obstruction); the
-surprise is how often they are literally equal.  The d=1 case is the
-classical graph process, where the same scan recovers the connectivity
-time tau_c.
+surprise is how often they are literally equal.  So M1 comes from one block
+scan over the arrivals, and M2 from a search over prefixes that starts at
+M1: one rank at M1 settles the common case M2 = M1.  The d=1 case is the
+classical graph process: an isolated vertex disconnects the graph, so the
+same search from M1 finds the connectivity time tau_c.
 """
 from spectop.complexes import FaceProcess
 from spectop.criteria import cohomology_hitting, graph_connectivity_hitting

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, from_edges
+from .graphs import Graph, _skip_stream, from_edges
 from .seeding import trial_rng
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "complex_from_faces",
     "sample_complex",
     "link",
+    "link_edges",
     "isolated_faces",
     "strip_isolated",
     "is_pure",
@@ -144,24 +145,7 @@ def sample_complex(n: int, d: int, p: float, seed: int = 0) -> Complex:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     table = binom_table(n, d + 1)
-    total = int(table[n, d + 1])
-    if p == 0.0 or total == 0:
-        return Complex(n=n, d=d, faces=np.empty((0, d + 1), dtype=np.int64))
-    if p == 1.0:
-        ranks = np.arange(total, dtype=np.int64)
-        return Complex(n=n, d=d, faces=unrank_faces(ranks, d + 1, table))
-    rng = trial_rng(seed)
-    picked = []
-    pos = 0
-    # geometric skips between successive present slots
-    chunk = max(int(1.2 * total * p) + 16, 16)
-    while pos < total:
-        gaps = rng.geometric(p, size=chunk)
-        slots = pos + np.cumsum(gaps) - 1
-        picked.append(slots[slots < total])
-        pos = int(slots[-1]) + 1
-        chunk = 256
-    ranks = np.concatenate(picked)
+    ranks = _skip_stream(int(table[n, d + 1]), p, trial_rng(seed))
     return Complex(n=n, d=d, faces=unrank_faces(ranks, d + 1, table))
 
 
@@ -212,9 +196,13 @@ class FaceProcess:
         return -math.log1p(-m / self.total)
 
 
-def _link_edges(y: Complex, f):
-    """(f, edges): the validated face f and the edges {u, v} of its link, in
-    original vertex labels, one row per d-face containing f."""
+def link(y: Complex, f) -> Graph:
+    """Graph on the vertices outside f with u~v iff f ∪ {u,v} is a face.
+
+    f is a (d-2)-dimensional face, i.e. d-1 vertices; the link vertices are
+    relabeled to 0..n-d in increasing original order.  link_edges builds
+    every link at once.
+    """
     if y.d < 2:
         raise ValueError("links need dimension >= 2")
     f = np.asarray(f, dtype=np.int64)
@@ -222,31 +210,37 @@ def _link_edges(y: Complex, f):
         raise ValueError(f"link face must have {y.d - 1} vertices")
     if f.size and (np.any(np.diff(f) <= 0) or f.min() < 0 or f.max() >= y.n):
         raise ValueError("link face must be strictly increasing and in range")
-    contains = np.isin(y.faces, f).sum(axis=1) == f.size
-    rows = y.faces[contains]
-    return f, rows[~np.isin(rows, f)].reshape(-1, 2)
-
-
-def link(y: Complex, f) -> Graph:
-    """Graph on the vertices outside f with u~v iff f ∪ {u,v} is a face.
-
-    f is a (d-2)-dimensional face, i.e. d-1 vertices; the link vertices are
-    relabeled to 0..n-d in increasing original order.
-    """
-    f, edges = _link_edges(y, f)
+    rows = y.faces[np.isin(y.faces, f).sum(axis=1) == f.size]
+    edges = rows[~np.isin(rows, f)].reshape(-1, 2)
     outside = np.setdiff1d(np.arange(y.n), f)
     return from_edges(outside.size, np.searchsorted(outside, edges))
 
 
-def _positive_link(y: Complex, f) -> Graph:
-    """link(y, f) restricted to its positive-degree vertices, built once.
+def link_edges(y: Complex):
+    """(faces, edges): every nonempty codimension-2 link from one pass.
 
-    Those vertices are relabeled 0..k-1 in increasing original order, as
-    induced_subgraph(link(y, f), positive-degree vertices) would.
+    Deleting positions i < j of a d-face leaves its (d-2)-face owner and the
+    link edge {face[i], face[j]}; one stable argsort of the owners' colex
+    ranks groups all such pairs.  faces is the (k, d-1) array of owners with
+    a nonempty link, in colex order, and edges[i] is the (e, 2) array of
+    lk(faces[i])'s edges in original labels, u < v.  A (d-2)-face missing
+    from faces has an empty link.
     """
-    _, edges = _link_edges(y, f)
-    keep = np.unique(edges)
-    return from_edges(keep.size, np.searchsorted(keep, edges))
+    if y.d < 2:
+        raise ValueError("links need dimension >= 2")
+    if y.face_count == 0:
+        # np.split of an empty array would still return one (empty) group
+        return np.empty((0, y.d - 1), dtype=np.int64), []
+    table = binom_table(y.n, y.d + 1)
+    i, j = np.triu_indices(y.d + 1, k=1)
+    rest = [[k for k in range(y.d + 1) if k not in pair] for pair in zip(i, j)]
+    owners = rank_faces(y.faces[:, rest].reshape(-1, y.d - 1), table)
+    order = np.argsort(owners, kind="stable")
+    owners = owners[order]
+    edges = np.stack([y.faces[:, i], y.faces[:, j]], axis=-1).reshape(-1, 2)[order]
+    starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+    faces = unrank_faces(owners[np.r_[0, starts]], y.d - 1, table)
+    return faces, np.split(edges, starts)
 
 
 class ComplexStats:

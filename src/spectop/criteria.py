@@ -5,33 +5,37 @@ enough expansion in every codimension-2 link kills the top rational
 cohomology, and enough expansion in every vertex link (dimension 2)
 certifies property (T) of the fundamental group.  Certificates are
 sufficient conditions, so verdicts are certified/inconclusive, never
-refuted.  The hitting scans walk a face process once and record the
-first index at which each property holds.
+refuted.  Both read every link off one incidence pass
+(complexes.link_edges).  The hitting scans find the first index at which
+each property holds: M1 by a block scan over the arrivals, the monotone
+properties (vanishing cohomology, connectivity) by a search over prefixes
+from M1, and the structure verdict by a grid scan.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-# link and induced_subgraph are not called here any more; perfbench/tracing.py
-# patches both names in this module, and exits when one is missing.
-from .complexes import (  # noqa: F401
+from .complexes import (
     Complex,
     FaceProcess,
-    _positive_link,
     binom_table,
     facet_ranks,
     is_pure,
     isolated_faces,
-    link,
+    link_edges,
     unrank_faces,
 )
-from .graphs import from_edges, induced_subgraph  # noqa: F401
+from .graphs import components, from_edges
 from .homology import boundary_matrix, reaches_rank
 from .spectral import ZERO_TOL, GapResult, full_spectrum, gap, normalized_laplacian
+
+# not called here; perfbench/tracing.py patches both names in this module
+# and exits when one is missing
+from .complexes import link  # noqa: F401
+from .graphs import induced_subgraph  # noqa: F401
 
 CERTIFIED = "certified_T_free_product"
 INCONCLUSIVE = "inconclusive"
@@ -90,16 +94,16 @@ class HittingReport:
     gap: Optional[GapResult] = None
 
 
-def link_lambda2(y: Complex, f) -> Optional[Tuple[float, bool]]:
-    """(lambda_2, connected) of lk(f) on its positive-degree vertices.
+def link_lambda2(edges: np.ndarray) -> Tuple[float, bool]:
+    """(lambda_2, connected) of one nonempty link, given its edge array.
 
-    None when the link has no edges at all.  Zero-degree link vertices
-    are discarded before the eigensolve: each one is a kernel dimension
-    that says nothing about the expansion of the rest.
+    edges is one group of complexes.link_edges.  The link is built on its
+    positive-degree vertices only, relabeled in increasing order: each
+    zero-degree vertex would be a kernel dimension that says nothing about
+    the expansion of the rest.
     """
-    lk = _positive_link(y, f)
-    if lk.n == 0:
-        return None
+    keep = np.unique(edges)
+    lk = from_edges(keep.size, np.searchsorted(keep, edges))
     vals = full_spectrum(normalized_laplacian(lk)).eigenvalues
     connected = int(np.count_nonzero(vals < ZERO_TOL)) == 1
     return float(vals[1]), connected
@@ -110,33 +114,21 @@ def garland_check(y: Complex) -> GarlandReport:
 
     Purity of the stripped complex (every (d-2)-face under some d-face;
     stripping already guarantees it for the kept (d-1)-faces) plus
-    lambda_2 > 1 - 1/d in every nonempty codimension-2 link.
+    lambda_2 > 1 - 1/d in every nonempty codimension-2 link.  The worst
+    face is the lexicographically first among those of minimal lambda_2.
     """
     if y.d < 2:
         raise ValueError("link certificates need dimension >= 2")
     pure = is_pure(y)
-    worst: Optional[float] = None
-    worst_face: Optional[tuple] = None
-    for f in combinations(range(y.n), y.d - 1):
-        got = link_lambda2(y, f)
-        if got is None:
-            continue
-        lam2, _ = got
-        if worst is None or lam2 < worst:
-            worst, worst_face = lam2, f
-    if worst is None:
+    faces, edges = link_edges(y)
+    if not edges:
         return GarlandReport(None, pure, False, None)
+    # link_edges runs in colex order; tuples break lambda_2 ties in lex order
+    worst, worst_face = min(
+        (link_lambda2(e)[0], tuple(f)) for f, e in zip(faces.tolist(), edges)
+    )
     certified = pure and worst > 1.0 - 1.0 / y.d
     return GarlandReport(worst, pure, certified, worst_face)
-
-
-def _zuk_vertex(y: Complex, v: int) -> Tuple[Optional[Tuple[float, bool]], bool]:
-    """(link_lambda2 of vertex v, whether the link passes Zuk's clause).
-
-    The clause: the link has edges, is connected and has lambda_2 > 1/2.
-    """
-    got = link_lambda2(y, (v,))
-    return got, got is not None and got[1] and got[0] > 0.5
 
 
 def zuk_check(y: Complex) -> ZukReport:
@@ -149,20 +141,11 @@ def zuk_check(y: Complex) -> ZukReport:
     """
     if y.d != 2:
         raise ValueError("vertex-link certificate is for dimension 2")
-    all_connected = True
-    all_pass = True
-    worst: Optional[float] = None
-    for v in range(y.n):
-        got, ok = _zuk_vertex(y, v)
-        all_pass = all_pass and ok
-        if got is None:
-            all_connected = False
-            continue
-        lam2, connected = got
-        all_connected = all_connected and connected
-        if worst is None or lam2 < worst:
-            worst = lam2
-    return ZukReport(all_connected, worst, all_pass)
+    _, edges = link_edges(y)
+    got = [link_lambda2(e) for e in edges]
+    all_connected = len(edges) == y.n and all(connected for _, connected in got)
+    worst = min((lam2 for lam2, _ in got), default=None)
+    return ZukReport(all_connected, worst, all_connected and all(lam2 > 0.5 for lam2, _ in got))
 
 
 def t_structure(y: Complex) -> StructureVerdict:
@@ -191,8 +174,16 @@ def _certified(y: Complex) -> bool:
     """
     if isolated_faces(y).isolated_count >= y.n - 1:
         return False
+    _, edges = link_edges(y)
+    if len(edges) < y.n:
+        return False
+    # every vertex has a link, so edges[v] is vertex v's
     load = np.bincount(y.faces.ravel(), minlength=y.n)
-    return all(_zuk_vertex(y, int(v))[1] for v in np.argsort(load, kind="stable"))
+    for v in np.argsort(load, kind="stable"):
+        lam2, connected = link_lambda2(edges[v])
+        if not (connected and lam2 > 0.5):
+            return False
+    return True
 
 
 def _arrival_blocks(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
@@ -207,12 +198,6 @@ def _arrival_blocks(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
         hi = min(lo + 1024, proc.total)
         yield lo, unrank_faces(proc.first(hi)[lo:], proc.d + 1, table)
         lo = hi
-
-
-def _arrivals(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:
-    """(m, face) for the m-th arrival, m = 1..total, in arrival order."""
-    for lo, faces in _arrival_blocks(proc):
-        yield from enumerate(faces, start=lo + 1)
 
 
 def _first_without_isolated(proc: FaceProcess) -> Optional[int]:
@@ -234,6 +219,23 @@ def _first_without_isolated(proc: FaceProcess) -> Optional[int]:
     return None
 
 
+def _first_holding(proc: FaceProcess, m1: int, holds: Callable[[int], bool]) -> int:
+    """First m >= m1 at which holds(m), for a property monotone in m.
+
+    The caller knows that it fails at m1 - 1 and holds for the whole
+    process.  Gallops from m1 with doubling steps, then bisects the last
+    bracket, so a property that already holds at m1 costs one call.
+    """
+    lo, hi, step = m1 - 1, m1, 1
+    while hi < proc.total and not holds(hi):
+        lo, hi, step = hi, min(hi + step, proc.total), 2 * step
+    # holds at hi (the whole process, at worst) and not at lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
 def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
     """When the last isolated (d-1)-face dies (M1) and when H^{d-1} dies (M2).
 
@@ -242,10 +244,10 @@ def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
     homology.reaches_rank on the gram of the prefix's boundary matrix.  An
     isolated (d-1)-face carries a nonzero cocycle, so M2 >= M1, and one
     rank at M1 that reaches the target proves M2 = M1 exactly.  Otherwise
-    the rank, monotone in m, is searched by galloping from M1 and then
-    bisecting; each "not yet" verdict has failed at two primes, the only
-    direction in which a mod-p rank can be wrong.  Both times exist because
-    the complete complex has neither obstruction.
+    the rank, monotone in m, is searched from M1 by _first_holding; each
+    "not yet" verdict has failed at two primes, the only direction in which
+    a mod-p rank can be wrong.  Both times exist because the complete
+    complex has neither obstruction.
     """
     if proc.d < 2:
         raise ValueError("cohomology scan needs dimension >= 2")
@@ -255,14 +257,7 @@ def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
         return reaches_rank(boundary_matrix(proc.prefix(m)), target, seed)
 
     m1 = _first_without_isolated(proc)
-    lo, hi, step = m1 - 1, m1, 1
-    while hi < proc.total and not spans(hi):
-        lo, hi, step = hi, min(hi + step, proc.total), 2 * step
-    # the rank reaches the target at hi (the complete complex, at worst) and not at lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if spans(mid) else (mid, hi)
-    return HittingReport(M1=m1, M2=hi)
+    return HittingReport(M1=m1, M2=_first_holding(proc, m1, spans))
 
 
 def t_hitting(proc: FaceProcess, grid: Sequence[int]) -> HittingReport:
@@ -299,58 +294,23 @@ def t_hitting(proc: FaceProcess, grid: Sequence[int]) -> HittingReport:
     return HittingReport(M1=m1, M2T=m2t)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
-
-
 def graph_connectivity_hitting(proc: FaceProcess) -> HittingReport:
     """Edge-process scan: connection time tau_c and the gap right there.
 
-    Union-find tracks the component count edge by edge; the first
-    single-component prefix is tau_c, where the graph is connected by
-    construction and its gap is measured.  M1 is the death time of the
-    last isolated vertex, M2 coincides with tau_c (zero-th reduced Betti
-    number hitting zero is exactly connectivity).
+    M1 is the death time of the last isolated vertex, from the block scan of
+    _first_without_isolated.  An isolated vertex disconnects the graph and
+    connectivity is monotone in m, so tau_c >= M1 is found by the same
+    search from M1 as cohomology_hitting's M2; the graph at tau_c is
+    connected by construction and its gap is measured.  M2 coincides with
+    tau_c (zero-th reduced Betti number hitting zero is exactly
+    connectivity).
     """
     if proc.d != 1:
         raise ValueError("connectivity scan is for dimension 1")
-    n = proc.n
-    uf = _UnionFind(n)
-    degree = np.zeros(n, dtype=np.int64)
-    zero_deg = n
-    m1 = tau = None
-    for m, (u, v) in _arrivals(proc):
-        for w in (int(u), int(v)):
-            if degree[w] == 0:
-                zero_deg -= 1
-            degree[w] += 1
-        if m1 is None and zero_deg == 0:
-            m1 = m
-        uf.union(int(u), int(v))
-        if tau is None and uf.components == 1:
-            tau = m
-        if m1 is not None and tau is not None:
-            break
-    gr = gap(from_edges(n, proc.prefix(tau).faces))
-    return HittingReport(M1=m1, M2=tau, tau_c_index=tau, gap=gr)
+
+    def graph(m: int):
+        return from_edges(proc.n, proc.prefix(m).faces)
+
+    m1 = _first_without_isolated(proc)
+    tau = _first_holding(proc, m1, lambda m: components(graph(m)).sizes.size == 1)
+    return HittingReport(M1=m1, M2=tau, tau_c_index=tau, gap=gap(graph(tau)))

@@ -7,12 +7,13 @@ import pytest
 from spectop.complexes import (
     ComplexStats,
     FaceProcess,
-    _positive_link,
     binom_table,
     complex_from_faces,
     facet_ranks,
     isolated_faces,
     link,
+    link_edges,
+    rank_faces,
     sample_complex,
     unrank_faces,
 )
@@ -120,26 +121,95 @@ def streaming_cohomology_hitting(proc, seed):
     return m1, m2
 
 
+def streaming_connectivity_hitting(proc):
+    """Per-edge reference scan: a degree count for M1 and a union-find
+    component count for tau_c."""
+    n = proc.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    degree = [0] * n
+    zero_deg, comps = n, n
+    m1 = tau = None
+    edges = unrank_faces(proc.first(proc.total), 2, binom_table(n, 2))
+    for m, (u, v) in enumerate(edges.tolist(), start=1):
+        for w in (u, v):
+            zero_deg -= degree[w] == 0
+            degree[w] += 1
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+        if m1 is None and zero_deg == 0:
+            m1 = m
+        if tau is None and comps == 1:
+            tau = m
+        if m1 is not None and tau is not None:
+            return m1, tau
+    return m1, tau
+
+
+def oracle_lambda2(y, f):
+    """lambda_2 of lk(f) on its positive-degree vertices, via link and
+    induced_subgraph; None for an empty link."""
+    lk = link(y, f)
+    keep = np.flatnonzero(lk.degrees > 0)
+    if keep.size == 0:
+        return None
+    return float(full_spectrum(normalized_laplacian(induced_subgraph(lk, keep))).eigenvalues[1])
+
+
 def harness_grid(total, points):
     return sorted(set(int(round(x)) for x in np.linspace(0, total, points)))
 
 
-class TestPositiveLink:
+class TestLinkEdges:
     @pytest.mark.parametrize("n,d", [(8, 2), (10, 2), (13, 2), (8, 3), (9, 3)])
     def test_laplacian_matches_two_step_build(self, n, d):
-        # the old link_lambda2 build: link on all outside vertices, then
-        # induced_subgraph on the positive-degree ones
+        # oracle: link on all outside vertices, then induced_subgraph on the
+        # positive-degree ones, face by face
         for seed in range(3):
             proc = FaceProcess(n, d, seed=seed)
             for m in np.linspace(0, proc.total, 7).astype(int):
                 y = proc.prefix(int(m))
+                faces, edges = link_edges(y)
+                assert faces.shape == (len(edges), d - 1)
+                groups = {tuple(f): e for f, e in zip(faces.tolist(), edges)}
+                assert len(groups) == len(edges)
+                assert np.all(np.diff(rank_faces(faces, binom_table(n, d + 1))) > 0)
                 for f in combinations(range(n), d - 1):
                     lk = link(y, f)
                     keep = np.flatnonzero(lk.degrees > 0)
+                    if keep.size == 0:
+                        assert f not in groups
+                        continue
+                    e = groups[f]
+                    assert e.shape == (lk.edge_count, 2)
+                    assert np.all(e[:, 0] < e[:, 1]) and not np.isin(e, f).any()
+                    verts = np.unique(e)
                     old = normalized_laplacian(induced_subgraph(lk, keep))
-                    new = normalized_laplacian(_positive_link(y, f))
-                    assert new.shape == old.shape
+                    new = normalized_laplacian(from_edges(verts.size, np.searchsorted(verts, e)))
                     assert np.array_equal(new, old)
+                    assert link_lambda2(e)[0] == oracle_lambda2(y, f)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_empty_complex_gives_no_groups(self, d):
+        faces, edges = link_edges(complex_from_faces(d + 3, d, []))
+        assert faces.shape == (0, d - 1) and edges == []
+
+    def test_single_face(self):
+        faces, edges = link_edges(complex_from_faces(5, 2, [(1, 2, 4)]))
+        assert faces.tolist() == [[1], [2], [4]]
+        assert [e.tolist() for e in edges] == [[[2, 4]], [[1, 4]], [[1, 2]]]
+
+    def test_dimension_guard(self):
+        with pytest.raises(ValueError):
+            link_edges(complex_from_faces(5, 1, [(0, 1)]))
 
 
 class TestGarland:
@@ -168,17 +238,34 @@ class TestGarland:
         assert not r.pure and not r.certified
         assert r.min_link_lambda2 == pytest.approx(2.0)
 
+    @staticmethod
+    def brute_force_worst(y):
+        """First strict minimum of the link lambda_2 over faces in lex order."""
+        worst = worst_face = None
+        for f in combinations(range(y.n), y.d - 1):
+            lam2 = oracle_lambda2(y, f)
+            if lam2 is not None and (worst is None or lam2 < worst):
+                worst, worst_face = lam2, f
+        return worst, worst_face
+
     def test_worst_face_is_argmin(self):
-        y = sample_complex(9, 2, 0.5, seed=4)
+        for n, d in [(9, 2), (12, 2), (8, 3), (9, 3), (8, 4)]:
+            for seed in range(5):
+                y = sample_complex(n, d, 0.5, seed=seed)
+                r = garland_check(y)
+                assert (r.min_link_lambda2, r.worst_face) == self.brute_force_worst(y)
+
+    def test_tied_minimum_breaks_lexicographically(self):
+        # invariant under (0 1)(2 3), which maps lk(0,3) onto lk(1,2) in
+        # order, so both reach the minimum 1/2 bit for bit; (1,2) comes
+        # first in colex order, (0,3) in lex order
+        y = complex_from_faces(6, 3, [(0, 1, 2, 3), (0, 1, 2, 5), (0, 1, 3, 5),
+                                      (0, 1, 4, 5), (0, 3, 4, 5), (1, 2, 4, 5)])
+        lam = {f: oracle_lambda2(y, f) for f in combinations(range(6), 2)}
+        low = min(v for v in lam.values() if v is not None)
+        assert [f for f, v in lam.items() if v == low] == [(0, 3), (1, 2)]
         r = garland_check(y)
-        seen = {}
-        for v in range(9):
-            got = link_lambda2(y, (v,))
-            if got is not None:
-                seen[(v,)] = got[0]
-        assert r.worst_face in seen
-        assert seen[r.worst_face] == pytest.approx(r.min_link_lambda2)
-        assert min(seen.values()) == pytest.approx(r.min_link_lambda2)
+        assert r.worst_face == (0, 3) and r.min_link_lambda2 == low
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -321,13 +408,25 @@ class TestEarlyExitCertified:
         load = np.bincount(y.faces.ravel(), minlength=y.n)
         order = [int(v) for v in np.argsort(load, kind="stable")]
         assert len(set(load.tolist())) > 1
+        # link_lambda2 sees only edge arrays; the pass says whose each one is
+        owner = {}
+
+        def pass_spy(y):
+            faces, edges = link_edges(y)
+            owner.update((id(e), int(f[0])) for f, e in zip(faces, edges))
+            return faces, edges
+
+        def vertex(edges):
+            return owner[id(edges)]
+
         visited = []
         solve = criteria.link_lambda2
 
-        def spy(y, f):
-            visited.append(f[0])
-            return solve(y, f)
+        def spy(edges):
+            visited.append(vertex(edges))
+            return solve(edges)
 
+        monkeypatch.setattr(criteria, "link_edges", pass_spy)
         monkeypatch.setattr(criteria, "link_lambda2", spy)
         assert _certified(y)
         assert visited == order
@@ -335,13 +434,13 @@ class TestEarlyExitCertified:
         visited.clear()
         monkeypatch.setattr(
             criteria, "link_lambda2",
-            lambda y, f: None if f[0] == order[-1] else spy(y, f),
+            lambda e: (1.0, False) if vertex(e) == order[-1] else spy(e),
         )
         assert not _certified(y)
         visited.clear()
         monkeypatch.setattr(
             criteria, "link_lambda2",
-            lambda y, f: (0.5, True) if f[0] == order[2] else spy(y, f),
+            lambda e: (0.5, True) if vertex(e) == order[2] else spy(e),
         )
         assert not _certified(y)
         assert visited == order[:2]
@@ -528,6 +627,18 @@ class TestConnectivityHitting:
         with pytest.raises(ValueError):
             graph_connectivity_hitting(FaceProcess(6, 2, seed=0))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 40, 200])
+    def test_matches_streaming_reference(self, n):
+        late = 0
+        for seed in range(40):
+            h = graph_connectivity_hitting(FaceProcess(n, 1, seed=seed))
+            ref = streaming_connectivity_hitting(FaceProcess(n, 1, seed=seed))
+            assert (h.M1, h.tau_c_index) == ref, f"seed {seed}"
+            assert h.M2 == h.tau_c_index
+            late += ref[1] > ref[0]
+        # seeds with tau_c > M1 run the gallop and the bisection
+        assert n < 10 or late >= 1
+
 
 class TestStoppedProcessLinkGaps:
     def test_stripped_links_flatten_along_process(self):
@@ -550,12 +661,10 @@ class TestStoppedProcessLinkGaps:
                 y = proc.prefix(m)
                 d_t = (n - 1) * (m / proc_total)
                 allowed = 6.0 / math.sqrt(d_t)
-                for v in range(n):
-                    lk = link(y, (v,))
-                    keep = np.flatnonzero(lk.degrees > 0)
-                    if keep.size == 0:
-                        continue
-                    sub = induced_subgraph(lk, keep)
+                # every nonempty vertex link, on its positive-degree vertices
+                for e in link_edges(y)[1]:
+                    keep = np.unique(e)
+                    sub = from_edges(keep.size, np.searchsorted(keep, e))
                     vals = full_spectrum(normalized_laplacian(sub)).eigenvalues
                     if np.abs(1.0 - vals[1:]).max() > allowed:
                         ok = False

@@ -7,15 +7,17 @@ edge gets covered and M2 the step at which H^1 vanishes.  An isolated edge
 carries a nonzero cocycle, so M2 >= M1 always; the sharp threshold says
 M1 == M2 with probability tending to one.
 
-cohomology_hitting finds M1 by a block scan and then takes one batch mod-p
-rank of the boundary's gram at the M1 prefix.  When that rank reaches
-C(n-1, 2), M2 == M1 is proved outright; only the other processes pay for a
-gallop-and-bisect search over later prefixes.
+cohomology_hitting finds M1 by a block scan and then asks whether the
+boundary's gram at the M1 prefix has full rank C(n-1, 2).  One shifted
+float64 Cholesky of that gram proves it, and M2 == M1 then holds outright;
+a batch mod-p rank decides only when the Cholesky fails, and only the
+processes with M2 > M1 pay for a gallop-and-bisect search over later
+prefixes.
 
 For each n the table gives the M1 == M2 rate over 20 processes and the
 median seconds per trial on the machine that runs it (numpy's BLAS at its
 default thread count).  n = 100 is included because a trial there takes
-seconds, not minutes; its gram is 4950 x 4950 float32, about 98 MB.
+seconds, not minutes; its gram is 4851 x 4851 float64, about 188 MB.
 """
 import statistics
 import time

@@ -172,9 +172,11 @@ class FaceProcess:
         """Colex ranks of the first m arrivals, in arrival order."""
         if not 0 <= m <= self.total:
             raise ValueError("prefix length out of range")
-        while len(self._drawn) < m:
-            i = len(self._drawn)
-            j = int(self._rng.integers(i, self.total))
+        i0 = len(self._drawn)
+        # one call draws the same values, and leaves the same generator
+        # state, as one integers(i, total) call per arrival (none if m <= i0)
+        draws = self._rng.integers(np.arange(i0, m), self.total).tolist()
+        for i, j in enumerate(draws, start=i0):
             vi = self._swaps.get(i, i)
             vj = self._swaps.get(j, j)
             self._swaps[i] = vj

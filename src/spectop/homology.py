@@ -7,7 +7,21 @@ the two boundary ranks).
 
 Rank engines:
 
-- batch mod-p (rank_mod_p, reaches_rank), behind every Betti number:
+- full-rank certificate (_proves_full_rank), tried first by rank_mod_p and
+  reaches_rank on the k x k cut gram G described below.  G is an integer
+  positive-semidefinite matrix, so full rank is positive definiteness, and
+  one float64 Cholesky of G - cI proves it.  With u = 2^-53 and
+  gamma = (k+1)u / (1 - (k+1)u), a computed factor satisfies
+  R^T R = G - cI + E with |E| <= gamma |R^T| |R| in any evaluation order
+  (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), so
+  ||E||_2 <= gamma ||R||_F^2 <= gamma / (1 - gamma) * tr(G).  The shift c
+  is the smallest power of two >= 2 gamma / (1 - gamma) * tr(G), the
+  factor 2 absorbing the underflow term of Rump ("Verification of positive
+  definiteness", BIT 46, 2006).  A factorization that succeeds therefore
+  gives lambda_min(G) >= c - ||E||_2 > 0 and rank_Q(G) = k exactly.  One
+  that fails proves nothing, and the mod-p engine decides.
+- batch mod-p (rank_mod_p, reaches_rank), for every gram the certificate
+  does not prove nonsingular:
   blocked elimination over GF(p), p a random prime in [2^22, 2^23), of a
   gram G of the boundary matrix B cut to fewer rows.
   - The row cut.  B's image lies in the cycle space of the full simplex,
@@ -41,9 +55,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .complexes import Complex, binom_table, facet_ranks, isolated_faces, unrank_faces
 from .seeding import trial_rng
@@ -309,47 +325,101 @@ def _row_cut(m: BoundaryMatrix) -> np.ndarray:
     return np.flatnonzero(used & (faces != v).all(axis=1))
 
 
-def _cut_gram(m: BoundaryMatrix) -> np.ndarray:
-    """float32 gram of the smaller side of m cut to _row_cut(m).
+def _cut_gram(m: BoundaryMatrix, dtype) -> np.ndarray:
+    """C-contiguous gram, of the given dtype, of the smaller side of m cut
+    to _row_cut(m).
 
-    Its rational rank is m's, and its dimension bounds that rank.
+    Its rational rank is m's, and its dimension bounds that rank.  Its
+    entries are small integers, so float32 and float64 both sum them
+    exactly in any order.
     """
     rows = _row_cut(m)
-    if m.n_cols < rows.size:
-        b = m.dense()[rows].astype(np.float32)
+    k = rows.size
+    if m.n_cols < k:
+        b = m.dense()[rows].astype(dtype)
         return b.T @ b
-    # the kept rows become 0..k-1 and every other row becomes k, cut away after
-    at = np.full(m.n_rows, rows.size)
-    at[rows] = np.arange(rows.size)
-    cut = BoundaryMatrix(n=m.n, dim=m.dim, n_rows=rows.size + 1, col_rows=at[m.col_rows])
-    return _hodge_gram(cut)[:-1, :-1]
+    # B' B'^T sums, over the columns, the sign products of each pair of the
+    # column's entries in kept rows; kept rows become 0..k-1, the others k
+    at = np.full(m.n_rows, k)
+    at[rows] = np.arange(k)
+    idx = at[m.col_rows]
+    kept = idx < k
+    pairs = kept[:, :, None] & kept[:, None, :]
+    signs = np.broadcast_to(np.outer(m.signs, m.signs).astype(dtype), pairs.shape)
+    gram = np.zeros((k, k), dtype=dtype)
+    np.add.at(gram.reshape(-1), (idx[:, :, None] * k + idx[:, None, :])[pairs], signs[pairs])
+    return gram
+
+
+def _proves_full_rank(gram: np.ndarray) -> bool:
+    """Whether one shifted Cholesky proves the integer PSD gram nonsingular.
+
+    gram is a C-contiguous float64 k x k array, which this overwrites.  True
+    is a proof that rank_Q(gram) = k (see the module docstring); False
+    proves nothing.
+    """
+    k = len(gram)
+    trace = int(np.trace(gram))
+    if k == 0 or trace == 0:
+        # a PSD matrix of trace 0 is zero
+        return k == 0
+    gamma = Fraction(k + 1, 2**53 - (k + 1))
+    bound = 2 * gamma / (1 - gamma) * trace
+    # the power of two above float(bound), corrected by exact comparisons
+    c = math.ldexp(1.0, math.frexp(bound)[1])
+    while c < bound:
+        c *= 2
+    while c / 2 >= bound:
+        c /= 2
+    diag = gram.diagonal().copy()
+    shifted = diag - c
+    # TwoSum: the rounding error of diag - c, zero iff the shift is exact
+    back = shifted - diag
+    err = (diag - (shifted - back)) + (-c - back)
+    assert not err.any(), "the shift must be exact"
+    np.fill_diagonal(gram, shifted)
+    # the F-contiguous transpose is the same symmetric matrix, factored in place
+    _, info = lapack.dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+    return info == 0
 
 
 def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
-    """Rank of m from its cut gram over two random primes.
+    """Rank of m, exact when the cut gram passes _proves_full_rank.
 
-    Exact after the first prime when the gram is nonsingular mod p;
-    otherwise the larger of the two ranks.  Never above the rational rank;
-    below it with the probability bounded in the module docstring.
+    Otherwise the rank of the cut gram over two random primes: exact after
+    the first prime when the gram is nonsingular mod p, else the larger of
+    the two ranks.  Never above the rational rank; below it with the
+    probability bounded in the module docstring.
     """
+    gram = _cut_gram(m, np.float64)
+    k = len(gram)
+    if _proves_full_rank(gram):
+        return k
+    del gram
     rank = 0
     for p in _field_primes(seed):
-        gram = _cut_gram(m)
-        rank = max(rank, _eliminate(gram, p))
-        if rank == len(gram):
+        rank = max(rank, _eliminate(_cut_gram(m, np.float32), p))
+        if rank == k:
             break
     return rank
 
 
 def reaches_rank(m: BoundaryMatrix, target: int, seed: int = 0) -> bool:
-    """Whether rank_Q(m) >= target, decided by the batch mod-p engine.
+    """Whether rank_Q(m) >= target.
 
-    True is exact: some prime already gives that rank.  False means both
-    primes fell short, which is wrong only with the probability bounded in
-    the module docstring.  The second prime runs only after the first
-    falls short.
+    True is exact: the cut gram has at least target rows and passes
+    _proves_full_rank, or some prime already gives that rank.  False means
+    the gram is too small, or the certificate failed and both primes fell
+    short, which is wrong only with the probability bounded in the module
+    docstring.  The second prime runs only after the first falls short.
     """
-    return any(_eliminate(_cut_gram(m), p) >= target for p in _field_primes(seed))
+    gram = _cut_gram(m, np.float64)
+    if len(gram) < target:
+        return False
+    if _proves_full_rank(gram):
+        return True
+    del gram
+    return any(_eliminate(_cut_gram(m, np.float32), p) >= target for p in _field_primes(seed))
 
 
 def rank_exact(m) -> int:
@@ -378,19 +448,6 @@ def rank_exact(m) -> int:
         if rank == nr:
             break
     return rank
-
-
-def _hodge_gram(m: BoundaryMatrix) -> np.ndarray:
-    """Dense float32 boundary * boundary^T, summed in place from each
-    column's (d+1)^2 sign products.
-
-    Its entries are small integers, so float32 sums them exactly in any
-    order and the result does not depend on how it is formed.
-    """
-    gram = np.zeros((m.n_rows, m.n_rows), dtype=np.float32)
-    r = m.col_rows
-    np.add.at(gram, (r[:, :, None], r[:, None, :]), np.outer(m.signs, m.signs).astype(np.float32))
-    return gram
 
 
 def betti_dminus1(y: Complex, seed: int = 0) -> int:

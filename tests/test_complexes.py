@@ -27,6 +27,7 @@ from spectop.complexes import (
     window_density,
     write_complex,
 )
+from spectop.seeding import trial_rng
 
 
 def full_complex(n, d):
@@ -195,6 +196,36 @@ class TestFaceProcess:
         expected = trials / total
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat <= chi2.ppf(0.99, total - 1)
+
+    @pytest.mark.parametrize("total", [3, 780, 9880, 2**31 + 5, 2**32 + 1, 2**40 + 3, 2**62])
+    def test_block_draw_matches_scalar_draws(self, total):
+        # first() draws a whole extension with one integers(arange, total)
+        # call; it must match one integers(i, total) call per arrival, in
+        # values and in the generator state it leaves for the next draw
+        for seed in range(300):
+            i0 = seed % 5
+            m = min(total, i0 + 1 + seed % 23)
+            scalar, block = trial_rng(seed), trial_rng(seed)
+            want = [int(scalar.integers(i, total)) for i in range(i0, m)]
+            assert block.integers(np.arange(i0, m), total).tolist() == want
+            assert int(block.integers(0, total)) == int(scalar.integers(0, total))
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (40, 1), (40, 2), (3000, 2), (2000, 3)])
+    def test_first_matches_scalar_fisher_yates(self, n, d):
+        # C(3000, 3) and C(2000, 4) exceed 2^32
+        for seed in range(5):
+            proc = FaceProcess(n, d, seed=seed)
+            rng, swaps, drawn = trial_rng(seed), {}, []
+            for m in (1, 2, 2, 40, 17, 300):
+                m = min(m, proc.total)
+                while len(drawn) < m:
+                    i = len(drawn)
+                    j = int(rng.integers(i, proc.total))
+                    vi, vj = swaps.get(i, i), swaps.get(j, j)
+                    swaps[i], swaps[j] = vj, vi
+                    drawn.append(vj)
+                assert proc.first(m).tolist() == drawn[:m]
+            assert int(proc._rng.integers(0, proc.total)) == int(rng.integers(0, proc.total))
 
 
 class TestFacetRanks:

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack
 
 from spectop.complexes import (
     FaceProcess,
@@ -13,15 +15,17 @@ from spectop.complexes import (
     sample_complex,
     unrank_faces,
 )
+from spectop.criteria import _first_without_isolated
 from spectop.graphs import components, from_edges
 import spectop.homology as homology
 from spectop.homology import (
     BoundaryMatrix,
     RankTracker,
     _boundary_of,
+    _cut_gram,
     _eliminate,
     _field_primes,
-    _hodge_gram,
+    _proves_full_rank,
     _reduce,
     _row_cut,
     betti_dminus1,
@@ -45,16 +49,6 @@ def dense_by_columns(m):
     for j in range(m.n_cols):
         out[m.col_rows[j], j] = m.signs
     return out
-
-
-def gram_by_columns(m):
-    """Reference boundary * boundary^T, accumulated one column at a time."""
-    gram = np.zeros((m.n_rows, m.n_rows))
-    outer = np.outer(m.signs, m.signs).astype(np.float64)
-    for j in range(m.n_cols):
-        r = m.col_rows[j]
-        gram[np.ix_(r, r)] += outer
-    return gram
 
 
 def rank_at(a, p):
@@ -167,15 +161,19 @@ class TestBoundaryMatrix:
     @pytest.mark.parametrize("seed", range(5))
     def test_hodge_gram_matches_column_loop(self, seed):
         y = sample_complex(16, 2, 0.35, seed=seed)
-        m = boundary_matrix(y)
-        gram = _hodge_gram(m)
-        assert gram.dtype == np.float32
-        assert np.array_equal(gram, gram_by_columns(m))
         # the (d-1)-boundary of the kept faces, as betti_stripped_identity builds it
         kept = np.flatnonzero(isolated_faces(y).degrees > 0)
-        table = binom_table(16, 3)
-        low = boundary_matrix(complex_from_faces(16, 1, unrank_faces(kept, 2, table)))
-        assert np.array_equal(_hodge_gram(low), gram_by_columns(low))
+        low = boundary_matrix(complex_from_faces(16, 1, unrank_faces(kept, 2, binom_table(16, 3))))
+        # a sparse draw has fewer faces than kept rows: the B'^T B' side
+        few = boundary_matrix(sample_complex(16, 2, 0.01, seed=seed))
+        for m in (boundary_matrix(y), low, few):
+            b = m.dense()[_row_cut(m)]
+            want = b.T @ b if m.n_cols < b.shape[0] else b @ b.T
+            for dtype in (np.float32, np.float64):
+                gram = _cut_gram(m, dtype)
+                assert gram.dtype == dtype and gram.flags.c_contiguous
+                assert np.array_equal(gram, want)
+        assert few.n_cols < _row_cut(few).size
 
 
 class TestRank:
@@ -394,13 +392,18 @@ class TestRowCut:
         assert rank_mod_p(m, seed=seed) == rank_exact(m)
 
     def test_one_elimination_iff_cut_gram_nonsingular(self, monkeypatch):
-        calls = []
+        calls, certified = [], []
 
         def spy(a, p):
             calls.append(p)
             return _eliminate(a, p)
 
+        def cert_spy(gram):
+            certified.append(_proves_full_rank(gram))
+            return certified[-1]
+
         monkeypatch.setattr(homology, "_eliminate", spy)
+        monkeypatch.setattr(homology, "_proves_full_rank", cert_spy)
         seen = set()
         for seed in range(1500, 1560):
             y = complex_draw(seed, [1, 2, 3], (0.05, 0.9))
@@ -409,12 +412,64 @@ class TestRowCut:
                 ms.append(stripped_boundary(y))
             for m in ms:
                 calls.clear()
+                certified.clear()
                 rank = rank_mod_p(m, seed=seed)
                 assert rank == rank_exact(m)
                 nonsingular = rank == min(_row_cut(m).size, m.n_cols)
-                assert calls == _field_primes(seed)[:1 if nonsingular else 2]
-                seen.add(nonsingular)
+                # no elimination after a certificate; else one prime when
+                # the gram is nonsingular mod the first, two otherwise
+                if certified == [True]:
+                    assert nonsingular and calls == []
+                else:
+                    assert certified == [False]
+                    assert calls == _field_primes(seed)[:1 if nonsingular else 2]
+                seen.add(certified[0])
         assert seen == {True, False}
+
+
+class TestFullRankCertificate:
+    """_proves_full_rank: one Cholesky of the cut gram shifted by c."""
+
+    def test_never_true_on_a_singular_gram(self):
+        singular = fooled = 0
+        for seed in range(300):
+            rng = np.random.default_rng(2000 + seed)
+            n = int(rng.integers(7, 13))
+            y = sample_complex(n, 2, float(rng.uniform(0.05, 0.9)), seed=seed)
+            gram = _cut_gram(boundary_matrix(y), np.float64)
+            full = rank_exact(gram.astype(np.int64)) == len(gram)
+            singular += not full
+            if not full:
+                # an unshifted Cholesky succeeds on some singular grams;
+                # the shift is what makes success a proof
+                fooled += lapack.dpotrf(gram.copy(), lower=1)[1] == 0
+            assert _proves_full_rank(gram) == full
+        assert singular >= 20 and fooled >= 3
+
+    @pytest.mark.parametrize("n", [25, 40])
+    def test_true_on_the_m1_grams(self, n):
+        proved = 0
+        for seed in range(40):
+            proc = FaceProcess(n, 2, seed=seed)
+            m = boundary_matrix(proc.prefix(_first_without_isolated(proc)))
+            gram = _cut_gram(m, np.float32)
+            # nonsingular mod p proves nonsingular over Q
+            full = _eliminate(gram.copy(), _field_primes(seed)[0]) == len(gram)
+            assert _proves_full_rank(gram.astype(np.float64)) == full
+            proved += full
+        assert proved >= 30
+
+    def test_failure_falls_back_to_elimination(self):
+        # pascal(20) has determinant 1, but its condition number (~1e21)
+        # defeats any float64 Cholesky
+        a = scipy.linalg.pascal(20)
+        assert not _proves_full_rank(a.astype(np.float64))
+        assert all(rank_at(a, p) == 20 for p in _field_primes(0))
+
+    def test_empty_and_zero_grams(self):
+        assert _proves_full_rank(np.zeros((0, 0)))
+        assert not _proves_full_rank(np.zeros((3, 3)))
+        assert _proves_full_rank(np.eye(3))
 
 
 class TestBetti:

@@ -25,7 +25,6 @@ __all__ = [
     "Complex",
     "FaceProcess",
     "ComplexStats",
-    "StrippedComplex",
     "binom_table",
     "rank_faces",
     "facet_ranks",
@@ -35,7 +34,6 @@ __all__ = [
     "link",
     "link_edges",
     "isolated_faces",
-    "strip_isolated",
     "is_pure",
     "expected_isolated",
     "window_density",
@@ -273,28 +271,6 @@ def isolated_faces(y: Complex) -> ComplexStats:
         stats.degrees = counts.astype(np.int64)
         stats.isolated_count = int(np.count_nonzero(counts == 0))
     return stats
-
-
-@dataclass(frozen=True, eq=False)
-class StrippedComplex:
-    """The complex with its isolated (d-1)-faces flagged removed.
-
-    d-faces are untouched; kept_ranks lists (d-1)-faces of positive
-    d-degree by colex rank, removed_faces the isolated ones as rows.
-    """
-
-    base: Complex
-    kept_ranks: np.ndarray
-    removed_faces: np.ndarray
-
-
-def strip_isolated(y: Complex) -> StrippedComplex:
-    stats = isolated_faces(y)
-    kept = np.flatnonzero(stats.degrees > 0)
-    removed_ranks = np.flatnonzero(stats.degrees == 0)
-    table = binom_table(y.n, y.d + 1)
-    removed = unrank_faces(removed_ranks, y.d, table)
-    return StrippedComplex(base=y, kept_ranks=kept, removed_faces=removed)
 
 
 def is_pure(y: Complex) -> bool:

@@ -7,9 +7,12 @@ certifies property (T) of the fundamental group.  Certificates are
 sufficient conditions, so verdicts are certified/inconclusive, never
 refuted.  Both read every link off one incidence pass
 (complexes.link_edges).  The hitting scans find the first index at which
-each property holds: M1 by a block scan over the arrivals, the monotone
-properties (vanishing cohomology, connectivity) by a search over prefixes
-from M1, and the structure verdict by a grid scan.
+each property holds: M1 by a block scan over the arrivals; M2 (vanishing
+cohomology) by one pass over the arrivals after M1 that tracks a basis of
+the surviving cocycles mod p, its answer proved from above by a rank
+certificate and from below by an integer cocycle, with a search over
+prefixes from M1 as the fallback when a proof fails; connectivity by that
+search; and the structure verdict by a grid scan.
 """
 
 import math
@@ -29,7 +32,7 @@ from .complexes import (
     unrank_faces,
 )
 from .graphs import components, from_edges
-from .homology import boundary_matrix, reaches_rank
+from .homology import _cocycle_basis, _lift, boundary_matrix, reaches_rank
 from .spectral import ZERO_TOL, GapResult, full_spectrum, gap, normalized_laplacian
 
 # not called here; perfbench/tracing.py patches both names in this module
@@ -236,28 +239,94 @@ def _first_holding(proc: FaceProcess, m1: int, holds: Callable[[int], bool]) -> 
     return hi
 
 
+def _spans(proc: FaceProcess, m: int, seed: int) -> bool:
+    """Whether the first m arrivals have boundary rank C(n-1, d): a proof
+    when True, wrong with small probability when False (homology.reaches_rank)."""
+    return reaches_rank(boundary_matrix(proc.prefix(m)), math.comb(proc.n - 1, proc.d), seed)
+
+
+def _streamed_m2(proc: FaceProcess, m1: int, seed: int = 0):
+    """(M2, witness) from one null-space pass at M1, or None when a proof fails.
+
+    At M1 every (d-1)-face is covered, so homology._cocycle_basis keeps the
+    C(n-1, d) rows avoiding vertex 0 and returns a basis Y over GF(p) of the
+    cocycles on them: b^{d-1} of them over Q, never fewer mod p.  No rows:
+    M2 = M1, and witness is None.  Otherwise each later arrival f gives w = Y d(f); a
+    nonzero w removes one basis row (the others absorb it), and the arrival
+    that removes the last is the candidate.  A mod-p rank never exceeds the
+    rational one, so the candidate is never before M2.  Two proofs make it
+    exact:
+    - M2 <= candidate: _spans(candidate) holds;
+    - M2 > candidate - 1: the last basis row, lifted to an integer cochain z
+      by homology._lift, satisfies z B = 0 over the integers on the prefix
+      one arrival shorter.  z is nonzero and vanishes off the cut rows,
+      which keep the boundary's rank, so that rank is below C(n-1, d).
+    witness is z.
+    """
+    at_m1 = boundary_matrix(proc.prefix(m1))
+    found = _cocycle_basis(at_m1, seed)
+    if found is None:
+        return None
+    p, basis = found
+    if not len(basis):
+        return m1, None
+    table = binom_table(proc.n, proc.d + 1)
+    for lo, faces in _arrival_blocks(proc):
+        skip = max(m1 - lo, 0)
+        if skip >= len(faces):
+            continue
+        w = basis[:, facet_ranks(faces[skip:], table)] @ at_m1.signs % p
+        # row operations keep a zero column of w zero
+        for j in np.flatnonzero(w.any(axis=0)).tolist():
+            col = w[:, j]
+            if not col.any():
+                continue
+            if len(basis) == 1:
+                return _proved(proc, lo + skip + j + 1, basis[0], p, seed)
+            i = int(np.flatnonzero(col)[0])
+            f = col * pow(int(col[i]), -1, p) % p
+            keep = np.arange(len(basis)) != i
+            basis = (basis[keep] - f[keep, None] * basis[i]) % p
+            w = (w[keep] - f[keep, None] * w[i]) % p
+    return None
+
+
+def _proved(proc: FaceProcess, candidate: int, last: np.ndarray, p: int, seed: int):
+    """(candidate, z) when both of _streamed_m2's proofs hold, else None."""
+    z = _lift(last, p)
+    if z is None:
+        return None
+    before = boundary_matrix(proc.prefix(candidate - 1))
+    if (z[before.col_rows] @ before.signs).any() or not _spans(proc, candidate, seed):
+        return None
+    return candidate, z
+
+
 def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
     """When the last isolated (d-1)-face dies (M1) and when H^{d-1} dies (M2).
 
-    M1 comes from the block scan of _first_without_isolated.  M2 is the
-    first prefix whose boundary rank reaches C(n-1, d), decided by
-    homology.reaches_rank on the gram of the prefix's boundary matrix.  An
-    isolated (d-1)-face carries a nonzero cocycle, so M2 >= M1, and one
-    rank at M1 that reaches the target proves M2 = M1 exactly.  Otherwise
-    the rank, monotone in m, is searched from M1 by _first_holding; each
-    "not yet" verdict has failed at two primes, the only direction in which
-    a mod-p rank can be wrong.  Both times exist because the complete
-    complex has neither obstruction.
+    M1 comes from the block scan of _first_without_isolated.  An isolated
+    (d-1)-face carries a nonzero cocycle, so M2 >= M1.  M2 is the first
+    prefix whose boundary rank reaches C(n-1, d), and comes from one
+    null-space pass at M1 (_streamed_m2): M2 = M1 when the rank at M1 is
+    proved full, else the first later arrival that kills the last cocycle
+    mod p, proved from above by a rank certificate at it and from below by
+    an integer cocycle one arrival earlier.  Either way M2 is exact.  When a
+    proof fails, the rank, monotone in m, is searched from M1 by
+    _first_holding, as homology.reaches_rank decides it; each "not yet"
+    verdict there has failed at two primes, the only direction in which a
+    mod-p rank can be wrong.  Both times exist because the complete complex
+    has neither obstruction.
     """
     if proc.d < 2:
         raise ValueError("cohomology scan needs dimension >= 2")
-    target = math.comb(proc.n - 1, proc.d)
-
-    def spans(m: int) -> bool:
-        return reaches_rank(boundary_matrix(proc.prefix(m)), target, seed)
-
     m1 = _first_without_isolated(proc)
-    return HittingReport(M1=m1, M2=_first_holding(proc, m1, spans))
+    found = _streamed_m2(proc, m1, seed)
+    if found is None:
+        m2 = _first_holding(proc, m1, lambda m: _spans(proc, m, seed))
+    else:
+        m2 = found[0]
+    return HittingReport(M1=m1, M2=m2)
 
 
 def t_hitting(proc: FaceProcess, grid: Sequence[int]) -> HittingReport:

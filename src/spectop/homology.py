@@ -45,6 +45,22 @@ Rank engines:
     so one random prime errs with probability at most
     (log2(H)/22) / 268216, and two distinct random primes, whose maximum
     is reported, at most the square of that.
+- cocycle stream (_cocycle_basis, _null_space, _lift), which
+  criteria.cohomology_hitting runs from M1 on.  Once every (d-1)-face is
+  covered, the cut keeps the C(n-1, d) rows avoiding vertex 0, and the
+  cocycles on them (y with y B' = 0) number b^{d-1}.  _eliminate leaves the
+  echelon form of the cut gram in place, and _null_space back-substitutes a
+  basis of the gram's null space mod p; checked against B' on its sparse
+  columns, that is a basis Y of the cocycles mod p.  Each later face f adds
+  one column; when some row has y d(f) != 0, it is eliminated against the
+  others, and Y still spans the cocycles.
+  - One-sided, as above: mod p there are never fewer cocycles than over Q,
+    so Y empties no earlier than H^{d-1} dies, and a rank certificate at
+    that arrival proves it dies there.
+  - The integer witness closes the other side.  The last row of Y, lifted
+    to Z by rational reconstruction, is checked as z B = 0 exactly on the
+    prefix one arrival shorter.  A nonzero integer cocycle on the cut rows
+    proves the rank below C(n-1, d) there, with no probability left.
 - streaming mod-p (RankTracker): one column at a time over a random 62-bit
   prime on Python integers; a bad prime can only lower the rank, with
   probability at most dim/2^62 per run.
@@ -56,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -262,8 +278,8 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _eliminate(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of the float32 integer matrix a, which it overwrites.
+def _eliminate(a: np.ndarray, p: int) -> Tuple[int, np.ndarray]:
+    """(rank, pivots) over GF(p) of the float32 integer matrix a.
 
     Entries must lie in (-p, p) and stay residues in (-p, p) throughout.
     Right-looking blocked elimination with pivot rows swapped to the top.
@@ -273,11 +289,17 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     L21 @ U12 as one matmul per _CHUNK rows, U12 being the pivot rows'
     trailing part solved against the panel's unit lower triangle.  Every
     such sum has at most _PANEL products of residues.
+
+    a is overwritten: its first rank rows end as the echelon form U, row t
+    zero before its pivot column pivots[t] (ascending) and nonzero there,
+    so U y = 0 (mod p) has the solutions of a y = 0.  The other rows are
+    scratch.
     """
     assert p < 1 << 24 and _PANEL * (p - 1) ** 2 + p < 1 << 53, "sums must stay exact"
     assert -p < a.min(initial=0) and a.max(initial=0) < p, "entries must be residues"
     nr, nc = a.shape
     r = 0
+    pivots: list = []
     for c0 in range(0, nc, _PANEL):
         if r == nr:
             break
@@ -297,8 +319,10 @@ def _eliminate(a: np.ndarray, p: int) -> int:
                 lower[[k, k + i]] = lower[[k + i, k]]
                 a[[r + k, r + k + i], c1:] = a[[r + k + i, r + k], c1:]
                 col[[0, i]] = col[[i, 0]]
+            upper[k, j] = col[0]
             upper[k, j + 1:] = _reduce(panel[k, j + 1:] - lower[k, :k] @ upper[:k, j + 1:], p)
             lower[k + 1:, k] = _reduce(col[1:] * pow(int(col[0]) % p, -1, p), p)
+            pivots.append(c0 + j)
             k += 1
         if k and c1 < nc:
             u12 = a[r:r + k, c1:].astype(np.float64)
@@ -310,8 +334,32 @@ def _eliminate(a: np.ndarray, p: int) -> int:
                 block = a[s:e, c1:].astype(np.float64)
                 block -= lower[s - r:e - r, :k] @ u12
                 a[s:e, c1:] = _reduce(block, p)
+            a[r:r + k, c1:] = u12
+        a[r:r + k, :c0] = 0
+        a[r:r + k, c0:c1] = upper[:k]
         r += k
-    return r
+    return r, np.array(pivots, dtype=np.int64)
+
+
+def _null_space(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis over GF(p) of {y : a y = 0 (mod p)}, one row per dimension.
+
+    a is a float32 residue matrix as _eliminate takes it, and is
+    overwritten.  Each free column of the echelon form gets one basis row,
+    1 there and 0 at the other free columns; back-substitution fills the
+    pivot columns, last pivot row first.  Entries are int64 in [0, p); each
+    row sum has at most a.shape[1] products below p^2, exact in int64.
+    """
+    rank, pivots = _eliminate(a, p)
+    nc = a.shape[1]
+    free = np.setdiff1d(np.arange(nc), pivots)
+    basis = np.zeros((free.size, nc), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    for t in range(rank - 1, -1, -1):
+        c = int(pivots[t])
+        s = basis[:, c + 1:] @ a[t, c + 1:].astype(np.int64)
+        basis[:, c] = -s % p * pow(int(a[t, c]) % p, -1, p) % p
+    return basis
 
 
 def _row_cut(m: BoundaryMatrix) -> np.ndarray:
@@ -383,6 +431,64 @@ def _proves_full_rank(gram: np.ndarray) -> bool:
     return info == 0
 
 
+def _cocycle_basis(m: BoundaryMatrix, seed: int = 0):
+    """(p, Y): a basis over GF(p) of m's cocycles that vanish off _row_cut(m).
+
+    Y is an int64 array with one row per basis cocycle and one column per
+    row of m, entries in [0, p), zero on the rows the cut drops, and
+    Y B = 0 (mod p), p being the first of _field_primes(seed).  Y has no
+    rows when the cut gram B'B'^T is nonsingular: proved by
+    _proves_full_rank, when p is None (no prime was drawn), or mod p.
+    Otherwise Y is the gram's null space mod p, which holds the
+    cocycles, and is exactly them when Y B = 0 (mod p) checks on m's sparse
+    columns.  None when it does not (a vector y with y B'B'^T = 0 but
+    y B' != 0 mod p), and when m has fewer columns than the C(n-1, dim)
+    rows a cut can keep, as its gram may then be B'^T B'.
+    """
+    if m.n_cols < math.comb(m.n - 1, m.dim):
+        return None
+    if _proves_full_rank(_cut_gram(m, np.float64)):
+        return None, np.zeros((0, m.n_rows), dtype=np.int64)
+    p = _field_primes(seed)[0]
+    null = _null_space(_cut_gram(m, np.float32), p)
+    basis = np.zeros((len(null), m.n_rows), dtype=np.int64)
+    basis[:, _row_cut(m)] = null
+    if (basis[:, m.col_rows] @ m.signs % p).any():
+        return None
+    return p, basis
+
+
+def _lift(y: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """An integer vector proportional to the nonzero vector y mod p, or None.
+
+    y is scaled so that its first nonzero entry is 1.  Each entry u then
+    becomes the fraction a/b with a = b u (mod p), |a| <= N and 0 < b <= N,
+    N = isqrt((p-1)/2), found by the extended Euclidean algorithm on (p, u);
+    it is unique when it exists (rational reconstruction; Wang, Guy &
+    Davenport, SIGSAM Bull. 16(2), 1982).  The result is those fractions
+    times the lcm of their denominators.  None when some entry has no such
+    fraction, or when the lcm would take an entry past 2^53.
+    """
+    nz = np.flatnonzero(y)
+    scale = pow(int(y[nz[0]]), -1, p)
+    bound = math.isqrt((p - 1) // 2)
+    fracs = []
+    for u in y[nz].tolist():
+        r0, r1, t0, t1 = p, u * scale % p, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound or math.gcd(r1, t1) != 1:
+            return None
+        fracs.append(Fraction(r1, t1))
+    lcm = math.lcm(*(f.denominator for f in fracs))
+    if lcm * bound >= 2**53:
+        return None
+    z = np.zeros(y.shape, dtype=np.int64)
+    z[nz] = [int(f * lcm) for f in fracs]
+    return z
+
+
 def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
     """Rank of m, exact when the cut gram passes _proves_full_rank.
 
@@ -398,7 +504,7 @@ def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
     del gram
     rank = 0
     for p in _field_primes(seed):
-        rank = max(rank, _eliminate(_cut_gram(m, np.float32), p))
+        rank = max(rank, _eliminate(_cut_gram(m, np.float32), p)[0])
         if rank == k:
             break
     return rank
@@ -419,7 +525,7 @@ def reaches_rank(m: BoundaryMatrix, target: int, seed: int = 0) -> bool:
     if _proves_full_rank(gram):
         return True
     del gram
-    return any(_eliminate(_cut_gram(m, np.float32), p) >= target for p in _field_primes(seed))
+    return any(_eliminate(_cut_gram(m, np.float32), p)[0] >= target for p in _field_primes(seed))
 
 
 def rank_exact(m) -> int:

@@ -22,7 +22,6 @@ from spectop.complexes import (
     rank_faces,
     read_complex,
     sample_complex,
-    strip_isolated,
     unrank_faces,
     window_density,
     write_complex,
@@ -308,25 +307,6 @@ class TestIsolatedFaces:
             if m < proc.total:
                 rank = proc.first(m + 1)[m]
                 stats.add_face(unrank_faces(np.array([rank]), 3, table)[0])
-
-
-class TestStripIsolated:
-    def test_full_complex_keeps_everything(self):
-        s = strip_isolated(full_complex(6, 2))
-        assert s.removed_faces.shape[0] == 0
-        assert s.kept_ranks.size == 15
-
-    def test_empty_complex_removes_everything(self):
-        s = strip_isolated(sample_complex(5, 2, 0.0))
-        assert s.removed_faces.shape[0] == 10
-        assert s.kept_ranks.size == 0
-
-    def test_single_triangle(self):
-        s = strip_isolated(complex_from_faces(5, 2, [(0, 1, 2)]))
-        assert s.removed_faces.shape[0] == 7
-        assert s.kept_ranks.size == 3
-        kept_faces = {tuple(r) for r in unrank_faces(s.kept_ranks, 2, binom_table(5, 3))}
-        assert kept_faces == {(0, 1), (0, 2), (1, 2)}
 
 
 class TestIsPure:

@@ -17,10 +17,15 @@ from spectop.complexes import (
     sample_complex,
     unrank_faces,
 )
+import spectop.criteria as criteria
 from spectop.criteria import (
     CERTIFIED,
     INCONCLUSIVE,
     _certified,
+    _first_holding,
+    _first_without_isolated,
+    _spans,
+    _streamed_m2,
     cohomology_hitting,
     garland_check,
     graph_connectivity_hitting,
@@ -30,7 +35,14 @@ from spectop.criteria import (
     zuk_check,
 )
 from spectop.graphs import components, from_edges, induced_subgraph
-from spectop.homology import RankTracker, betti_stripped_identity, boundary_matrix, rank_exact
+from spectop.homology import (
+    RankTracker,
+    betti_stripped_identity,
+    boundary_matrix,
+    rank_exact,
+    reaches_rank,
+)
+from spectop.seeding import derive_seed
 from spectop.spectral import full_spectrum, gap, normalized_laplacian
 
 
@@ -512,13 +524,110 @@ class TestCohomologyHitting:
             ref = streaming_cohomology_hitting(FaceProcess(n, 2, seed=seed), seed)
             assert (h.M1, h.M2) == ref, f"seed {seed}"
             late += ref[1] > ref[0]
-        # seeds with M2 > M1 run the gallop and the bisection
+        # seeds with M2 > M1 run the null-space stream
         assert late >= 1
 
     def test_replayable(self):
         a = cohomology_hitting(FaceProcess(8, 2, seed=21), seed=21)
         b = cohomology_hitting(FaceProcess(8, 2, seed=21), seed=21)
         assert (a.M1, a.M2) == (b.M1, b.M2)
+
+
+def searched_m2(proc, seed):
+    """M2 by the gallop-and-bisect search from M1."""
+    return _first_holding(proc, _first_without_isolated(proc), lambda m: _spans(proc, m, seed))
+
+
+class TestStreamedM2:
+    """_streamed_m2: one null-space pass from M1, proved from both sides."""
+
+    def test_matches_search(self):
+        late = 0
+        for seed in range(120):
+            proc = FaceProcess(25, 2, seed=seed)
+            m1 = _first_without_isolated(proc)
+            found = _streamed_m2(proc, m1, seed)
+            # both proofs held on every one of these processes
+            assert found is not None, f"seed {seed}"
+            m2, witness = found
+            assert m2 == searched_m2(proc, seed), f"seed {seed}"
+            assert (witness is None) == (m2 == m1)
+            late += m2 > m1
+        assert late >= 3
+
+    def test_matches_search_at_n40(self):
+        # benchmark master seed 190: M2 - M1 = 6
+        seed = derive_seed(190, 0)
+        proc = FaceProcess(40, 2, seed=seed)
+        m1 = _first_without_isolated(proc)
+        m2, _ = _streamed_m2(proc, m1, seed)
+        assert m1 < m2 == searched_m2(proc, seed)
+
+    def test_witness_is_an_integer_cocycle_until_m2(self):
+        proc = FaceProcess(25, 2, seed=22)
+        m2, z = _streamed_m2(proc, _first_without_isolated(proc), 22)
+        before, at = boundary_matrix(proc.prefix(m2 - 1)), boundary_matrix(proc.prefix(m2))
+        assert not np.any(z[before.col_rows] @ before.signs)
+        assert np.any(z[at.col_rows] @ at.signs)
+        # a cocycle on the cut rows: none through vertex 0
+        table = binom_table(25, 3)
+        assert unrank_faces(np.flatnonzero(z), 2, table).min() > 0
+        # one changed entry, in the support or outside it, breaks it
+        for r in (int(np.flatnonzero(z)[0]), int(np.flatnonzero(z == 0)[-1])):
+            bad = z.copy()
+            bad[r] += 1
+            assert np.any(bad[before.col_rows] @ before.signs)
+
+    @pytest.fixture
+    def search_spy(self, monkeypatch):
+        calls = []
+
+        def spy(proc, m1, holds):
+            calls.append(m1)
+            return _first_holding(proc, m1, holds)
+
+        monkeypatch.setattr(criteria, "_first_holding", spy)
+        return calls
+
+    # M1 and M2 of the seeds at n=25 with M2 > M1, as the search finds them
+    LATE_M1 = {22: 455, 69: 547, 111: 415, 115: 412}
+    LATE = {22: 569, 69: 731, 111: 442, 115: 414}
+
+    def test_streamed_path_skips_the_search(self, search_spy):
+        for seed, m2 in self.LATE.items():
+            assert cohomology_hitting(FaceProcess(25, 2, seed=seed), seed=seed).M2 == m2
+        assert search_spy == []
+
+    def test_failed_lower_bound_falls_back(self, search_spy, monkeypatch):
+        lift = criteria._lift
+
+        def mutated(y, p):
+            z = lift(y, p)
+            z[np.flatnonzero(z)[0]] += 1
+            return z
+
+        monkeypatch.setattr(criteria, "_lift", mutated)
+        for seed, m2 in self.LATE.items():
+            assert cohomology_hitting(FaceProcess(25, 2, seed=seed), seed=seed).M2 == m2
+        assert search_spy == list(self.LATE_M1.values())
+
+    def test_failed_upper_bound_falls_back(self, search_spy, monkeypatch):
+        # the streamed path's only rank call is the upper-bound proof
+        refused = []
+
+        def refuse_first(m, target, seed=0):
+            if not refused:
+                refused.append(m.n_cols)
+                return False
+            return reaches_rank(m, target, seed)
+
+        monkeypatch.setattr(criteria, "reaches_rank", refuse_first)
+        for seed, m2 in self.LATE.items():
+            refused.clear()
+            assert cohomology_hitting(FaceProcess(25, 2, seed=seed), seed=seed).M2 == m2
+            # the refused rank was the candidate's, a prefix of M2 faces
+            assert refused == [m2]
+        assert search_spy == list(self.LATE_M1.values())
 
 
 class TestTHitting:

@@ -22,9 +22,12 @@ from spectop.homology import (
     BoundaryMatrix,
     RankTracker,
     _boundary_of,
+    _cocycle_basis,
     _cut_gram,
     _eliminate,
     _field_primes,
+    _lift,
+    _null_space,
     _proves_full_rank,
     _reduce,
     _row_cut,
@@ -53,7 +56,7 @@ def dense_by_columns(m):
 
 def rank_at(a, p):
     """Batch-engine rank of the integer matrix a over GF(p)."""
-    return _eliminate(np.mod(np.asarray(a, dtype=np.int64), p).astype(np.float32), p)
+    return _eliminate(np.mod(np.asarray(a, dtype=np.int64), p).astype(np.float32), p)[0]
 
 
 def tracker_rank(m, seed):
@@ -454,7 +457,7 @@ class TestFullRankCertificate:
             m = boundary_matrix(proc.prefix(_first_without_isolated(proc)))
             gram = _cut_gram(m, np.float32)
             # nonsingular mod p proves nonsingular over Q
-            full = _eliminate(gram.copy(), _field_primes(seed)[0]) == len(gram)
+            full = _eliminate(gram.copy(), _field_primes(seed)[0])[0] == len(gram)
             assert _proves_full_rank(gram.astype(np.float64)) == full
             proved += full
         assert proved >= 30
@@ -470,6 +473,113 @@ class TestFullRankCertificate:
         assert _proves_full_rank(np.zeros((0, 0)))
         assert not _proves_full_rank(np.zeros((3, 3)))
         assert _proves_full_rank(np.eye(3))
+
+
+class TestNullSpace:
+    """_null_space back-substitutes _eliminate's echelon form; _cocycle_basis
+    and _lift build on it."""
+
+    @staticmethod
+    def check_basis(g, p):
+        """G Y = 0 (mod p) on the basis of the integer matrix g, with
+        beta = k - rank and independent rows."""
+        a = np.mod(np.asarray(g, dtype=np.int64), p).astype(np.float32)
+        basis = _null_space(a, p)
+        k = len(g)
+        assert basis.shape == (k - rank_at(g, p), k)
+        assert np.all((0 <= basis) & (basis < p))
+        assert not np.any(np.asarray(g, dtype=object).dot(basis.T.astype(object)) % p)
+        assert rank_at(basis, p) == len(basis)
+        return basis
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_singular_grams(self, seed, monkeypatch):
+        if seed % 2:
+            # several panels, several chunks and a short last panel
+            monkeypatch.setattr(homology, "_PANEL", 3)
+            monkeypatch.setattr(homology, "_CHUNK", 2)
+        rng = np.random.default_rng(3000 + seed)
+        k = int(rng.integers(1, 41))
+        r = int(rng.integers(0, k + 1))
+        x = rng.integers(-2, 3, size=(k, r))
+        g = x @ x.T
+        basis = self.check_basis(g, _field_primes(seed)[0])
+        assert len(basis) == k - rank_exact(g)
+
+    def test_pascal(self):
+        # pascal(20) has determinant 1, and repeating its row and column 0
+        # as the last leaves pascal(19), of determinant 1, beside one kernel
+        # vector; both defeat a float64 Cholesky
+        a = scipy.linalg.pascal(20).astype(object)
+        singular = a.copy()
+        singular[19, :] = singular[0, :]
+        singular[:, 19] = singular[:, 0]
+        for p in _field_primes(0):
+            assert self.check_basis(a, p).shape == (0, 20)
+            basis = self.check_basis(singular, p)
+            assert basis.shape == (1, 20)
+            assert np.array_equal(_lift(basis[0], p), np.r_[1, np.zeros(18, dtype=int), -1])
+
+    @pytest.mark.parametrize("n", [8, 9, 12])
+    def test_cocycles_at_m1(self, n):
+        gave_up, betas = 0, set()
+        avoid_0 = unrank_faces(np.arange(math.comb(n, 2)), 2, binom_table(n, 3)).min(axis=1) > 0
+        for seed in range(40):
+            proc = FaceProcess(n, 2, seed=seed)
+            m = boundary_matrix(proc.prefix(_first_without_isolated(proc)))
+            found = _cocycle_basis(m, seed)
+            # every row is covered, so the cut keeps the C(n-1, 2) rows
+            # avoiding vertex 0; fewer faces than those give up
+            if found is None:
+                assert m.n_cols < math.comb(n - 1, 2)
+                gave_up += 1
+                continue
+            p, basis = found
+            # the cocycles on the cut rows count b_1
+            assert len(basis) == math.comb(n - 1, 2) - rank_exact(m)
+            betas.add(len(basis))
+            if p is None:
+                # the Cholesky proved full rank before any prime was drawn
+                assert len(basis) == 0
+                continue
+            assert not np.any(basis[:, m.col_rows] @ m.signs % p)
+            assert not np.any(basis[:, ~avoid_0])
+            assert rank_at(basis, p) == len(basis)
+        assert gave_up and {0, 1} <= betas
+
+    def test_isotropic_null_vectors_are_rejected(self, monkeypatch):
+        # over GF(19) the gram's null space can hold a y with y B'B'^T = 0
+        # but y B' != 0; the cocycle check must then give up
+        monkeypatch.setattr(homology, "_field_primes", lambda seed: [19, 23])
+        rejected = 0
+        for seed in range(60):
+            proc = FaceProcess(12, 2, seed=seed)
+            m = boundary_matrix(proc.prefix(_first_without_isolated(proc)))
+            if m.n_cols < math.comb(11, 2):
+                continue
+            found = _cocycle_basis(m, seed)
+            if found is None:
+                cut = _null_space(_cut_gram(m, np.float32), 19)
+                null = np.zeros((len(cut), m.n_rows), dtype=np.int64)
+                null[:, _row_cut(m)] = cut
+                assert np.any(null[:, m.col_rows] @ m.signs % 19)
+                rejected += 1
+            else:
+                assert not np.any(found[1][:, m.col_rows] @ m.signs % 19)
+        assert rejected >= 1
+
+    def test_lift_recovers_small_vectors(self):
+        rng = np.random.default_rng(7)
+        p = _field_primes(1)[0]
+        for _ in range(50):
+            z = rng.integers(-30, 31, size=25) * (rng.random(25) < 0.4)
+            z[int(rng.integers(25))] = int(rng.integers(1, 31))
+            y = np.mod(z * int(rng.integers(1, p)), p)
+            got = _lift(y, p)
+            first = np.flatnonzero(z)[0]
+            # proportional to z, with the first nonzero entry positive
+            assert np.array_equal(got * z[first], z * got[first]) and got[first] > 0
+        assert _lift(rng.integers(0, p, size=25), p) is None
 
 
 class TestBetti:

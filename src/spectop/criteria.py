@@ -6,17 +6,23 @@ cohomology, and enough expansion in every vertex link (dimension 2)
 certifies property (T) of the fundamental group.  Certificates are
 sufficient conditions, so verdicts are certified/inconclusive, never
 refuted.  Both read every link off one incidence pass
-(complexes.link_edges).  The hitting scans find the first index at which
-each property holds: M1 by a block scan over the arrivals; M2 (vanishing
-cohomology) by one pass over the arrivals after M1 that tracks a basis of
-the surviving cocycles mod p, its answer proved from above by a rank
-certificate and from below by an integer cocycle, with a search over
+(complexes.link_edges) and assemble each link's normalized Laplacian
+straight from its edge array.  The hitting scans find the first index at
+which each property holds: M1 by a block scan over the arrivals; M2
+(vanishing cohomology) by one pass over the arrivals after M1 that tracks a
+basis of the surviving cocycles mod p, its answer proved from above by a
+rank certificate and from below by an integer cocycle, with a search over
 prefixes from M1 as the fallback when a proof fails; connectivity by that
-search; and the structure verdict by a grid scan.
+search; and the structure verdict by a grid scan.  That scan only needs a
+yes/no answer per vertex link (lambda_2 > 1/2), so it asks it of one
+integer matrix that is positive definite exactly then, by the shifted
+Cholesky certificate of homology._proves_positive_definite; the eigensolve
+decides only the links the certificate does not prove.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,16 +38,26 @@ from .complexes import (
     unrank_faces,
 )
 from .graphs import components, from_edges
-from .homology import _cocycle_basis, _lift, boundary_matrix, reaches_rank
-from .spectral import ZERO_TOL, GapResult, full_spectrum, gap, normalized_laplacian
+from .homology import (
+    _cocycle_basis,
+    _lift,
+    _proves_positive_definite,
+    boundary_matrix,
+    reaches_rank,
+)
+from .spectral import ZERO_TOL, GapResult, full_spectrum, gap
 
-# not called here; perfbench/tracing.py patches both names in this module
+# not called here; perfbench/tracing.py patches these names in this module
 # and exits when one is missing
 from .complexes import link  # noqa: F401
 from .graphs import induced_subgraph  # noqa: F401
+from .spectral import normalized_laplacian  # noqa: F401
 
 CERTIFIED = "certified_T_free_product"
 INCONCLUSIVE = "inconclusive"
+
+# Zuk's criterion: every vertex link connected with lambda_2 above this
+_ZUK_TAU = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -97,19 +113,81 @@ class HittingReport:
     gap: Optional[GapResult] = None
 
 
+def _link_laplacian(edges: np.ndarray) -> np.ndarray:
+    """Normalized Laplacian of one nonempty link, from its edge array.
+
+    The link is taken on its positive-degree vertices, relabeled in
+    increasing order.  Each entry is computed as
+    spectral.normalized_laplacian computes it on from_edges' graph: 1 on the
+    diagonal, -(1/sqrt(d_i) * 1/sqrt(d_j)) on an edge and -0.0 elsewhere,
+    so the two arrays are equal bit for bit, zero signs included (eigh
+    reads the signs).
+    """
+    verts = np.unique(edges)
+    u, v = np.searchsorted(verts, edges).T
+    dinv = 1.0 / np.sqrt(np.bincount(u, minlength=verts.size) + np.bincount(v, minlength=verts.size))
+    lap = np.full((verts.size, verts.size), -0.0)
+    lap[u, v] = lap[v, u] = -(dinv[u] * dinv[v])
+    lap.ravel()[:: verts.size + 1] = 1.0
+    return lap
+
+
 def link_lambda2(edges: np.ndarray) -> Tuple[float, bool]:
     """(lambda_2, connected) of one nonempty link, given its edge array.
 
     edges is one group of complexes.link_edges.  The link is built on its
-    positive-degree vertices only, relabeled in increasing order: each
-    zero-degree vertex would be a kernel dimension that says nothing about
-    the expansion of the rest.
+    positive-degree vertices only (_link_laplacian): each zero-degree
+    vertex would be a kernel dimension that says nothing about the
+    expansion of the rest.
     """
-    keep = np.unique(edges)
-    lk = from_edges(keep.size, np.searchsorted(keep, edges))
-    vals = full_spectrum(normalized_laplacian(lk)).eigenvalues
-    connected = int(np.count_nonzero(vals < ZERO_TOL)) == 1
-    return float(vals[1]), connected
+    return _lambda2(_link_laplacian(edges))
+
+
+def _lambda2(lap: np.ndarray) -> Tuple[float, bool]:
+    """(lambda_2, connected) from the residual-checked spectrum of lap."""
+    vals = full_spectrum(lap).eigenvalues
+    return float(vals[1]), int(np.count_nonzero(vals < ZERO_TOL)) == 1
+
+
+def _link_gram(lap: np.ndarray, tau: Fraction) -> np.ndarray:
+    """The integer matrix G, as float64, whose positive definiteness says
+    that the link with normalized Laplacian lap has lambda_2 > tau.
+
+    With tau = a/b, A the adjacency (the negative entries of lap), d the
+    degrees, D = diag(d), vol = sum(d) and u = D^{1/2} 1 / sqrt(vol),
+    G = vol ((b - a) D - b A) + 2b d d^T = b vol D^{1/2} (L + 2uu^T - tau I) D^{1/2}.
+    u spans L's kernel on a connected link, so L + 2uu^T has the spectrum
+    of L with that 0 moved to 2, and for 0 < tau < 2 G is positive definite
+    iff lambda_2 > tau; a disconnected link keeps a second 0, so a
+    positive definite G also proves the link connected.
+    """
+    a, b = tau.numerator, tau.denominator
+    adj = lap < 0
+    d = adj.sum(axis=1)
+    vol, top = int(d.sum()), int(d.max())
+    # bounds every entry and every partial sum below
+    assert 2 * b * top * top + vol * (b + abs(b - a) * top) < 2**53, "G must be exact in float64"
+    d = d.astype(np.float64)
+    g = np.multiply.outer(2 * b * d, d)
+    g -= vol * b * adj
+    g.ravel()[:: len(d) + 1] += vol * (b - a) * d
+    return g
+
+
+def _exceeds(edges: np.ndarray, tau: Fraction) -> bool:
+    """Whether one nonempty link is connected with lambda_2 > tau.
+
+    One Cholesky certificate of _link_gram (homology._proves_positive_definite)
+    decides most links; when it fails, the residual-checked eigensolve of
+    the same Laplacian decides, as link_lambda2 reads it.  The certificate
+    never says True at lambda_2 = tau, where the eigensolve's verdict is
+    decided by rounding.
+    """
+    lap = _link_laplacian(edges)
+    if _proves_positive_definite(_link_gram(lap, tau)):
+        return True
+    lam2, connected = _lambda2(lap)
+    return connected and lam2 > tau
 
 
 def garland_check(y: Complex) -> GarlandReport:
@@ -172,21 +250,25 @@ def _certified(y: Complex) -> bool:
     """t_structure(y).verdict == CERTIFIED, stopping at the first failing link.
 
     Links are visited sparsest first (ascending face load), since a sparse
-    link is the likeliest to fail; every link a verdict reads is still the
-    same residual-checked eigensolve.
+    link is the likeliest to fail.  The sparsest is read off the faces
+    through its vertex, and only when it passes does complexes.link_edges
+    build the others.  Each link is decided by _exceeds at Zuk's 1/2: one
+    Cholesky certificate, or when it fails the eigensolve of link_lambda2.
     """
     if isolated_faces(y).isolated_count >= y.n - 1:
         return False
-    _, edges = link_edges(y)
-    if len(edges) < y.n:
+    load = np.bincount(y.faces.ravel(), minlength=y.n)
+    order = np.argsort(load, kind="stable")
+    sparsest = order[0]
+    if load[sparsest] == 0:
+        return False
+    # rows are increasing, so deleting the vertex leaves each link edge sorted
+    through = y.faces[(y.faces == sparsest).any(axis=1)]
+    if not _exceeds(through[through != sparsest].reshape(-1, 2), _ZUK_TAU):
         return False
     # every vertex has a link, so edges[v] is vertex v's
-    load = np.bincount(y.faces.ravel(), minlength=y.n)
-    for v in np.argsort(load, kind="stable"):
-        lam2, connected = link_lambda2(edges[v])
-        if not (connected and lam2 > 0.5):
-            return False
-    return True
+    _, edges = link_edges(y)
+    return all(_exceeds(edges[v], _ZUK_TAU) for v in order[1:])
 
 
 def _arrival_blocks(proc: FaceProcess) -> Iterator[Tuple[int, np.ndarray]]:

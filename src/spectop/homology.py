@@ -9,17 +9,24 @@ Rank engines:
 
 - full-rank certificate (_proves_full_rank), tried first by rank_mod_p and
   reaches_rank on the k x k cut gram G described below.  G is an integer
-  positive-semidefinite matrix, so full rank is positive definiteness, and
-  one float64 Cholesky of G - cI proves it.  With u = 2^-53 and
+  positive-semidefinite matrix, so full rank is positive definiteness,
+  which _proves_positive_definite decides for any symmetric integer
+  matrix whose entries float64 holds exactly (criteria's vertex-link
+  verdicts call it too).  A positive definite matrix has a positive
+  diagonal, so a diagonal entry <= 0 is a refusal; otherwise one float64
+  Cholesky of G - cI proves it.  With u = 2^-53 and
   gamma = (k+1)u / (1 - (k+1)u), a computed factor satisfies
   R^T R = G - cI + E with |E| <= gamma |R^T| |R| in any evaluation order
   (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), so
-  ||E||_2 <= gamma ||R||_F^2 <= gamma / (1 - gamma) * tr(G).  The shift c
-  is the smallest power of two >= 2 gamma / (1 - gamma) * tr(G), the
-  factor 2 absorbing the underflow term of Rump ("Verification of positive
-  definiteness", BIT 46, 2006).  A factorization that succeeds therefore
-  gives lambda_min(G) >= c - ||E||_2 > 0 and rank_Q(G) = k exactly.  One
-  that fails proves nothing, and the mod-p engine decides.
+  ||E||_2 <= gamma || |R^T| |R| ||_2 <= gamma ||R||_F^2.  That bound needs
+  only the diagonal: ||R||_F^2 = tr(R^T R) = tr(G) - kc + tr(E) and
+  |E_ii| <= gamma (|R^T| |R|)_ii sum to |tr(E)| <= gamma ||R||_F^2, so
+  ||R||_F^2 <= tr(G) / (1 - gamma) whether or not G is semidefinite.  The
+  shift c is the smallest power of two >= 2 gamma / (1 - gamma) * tr(G),
+  the factor 2 absorbing the underflow term of Rump ("Verification of
+  positive definiteness", BIT 46, 2006).  A factorization that succeeds
+  therefore gives lambda_min(G) >= c - ||E||_2 > 0 exactly.  One that
+  fails proves nothing, and the mod-p engine decides.
 - batch mod-p (rank_mod_p, reaches_rank), for every gram the certificate
   does not prove nonsingular:
   blocked elimination over GF(p), p a random prime in [2^22, 2^23), of a
@@ -399,36 +406,47 @@ def _cut_gram(m: BoundaryMatrix, dtype) -> np.ndarray:
     return gram
 
 
-def _proves_full_rank(gram: np.ndarray) -> bool:
-    """Whether one shifted Cholesky proves the integer PSD gram nonsingular.
+def _proves_positive_definite(g: np.ndarray) -> bool:
+    """Whether one shifted Cholesky proves the symmetric integer matrix g
+    positive definite.
 
-    gram is a C-contiguous float64 k x k array, which this overwrites.  True
-    is a proof that rank_Q(gram) = k (see the module docstring); False
-    proves nothing.
+    g is a C-contiguous float64 k x k array of integers below 2^53 in
+    magnitude, which this overwrites.  True is a proof (see the module
+    docstring); False proves nothing.
     """
-    k = len(gram)
-    trace = int(np.trace(gram))
-    if k == 0 or trace == 0:
-        # a PSD matrix of trace 0 is zero
+    k = len(g)
+    diag = g.diagonal().copy()
+    if k == 0 or (diag <= 0).any():
         return k == 0
-    gamma = Fraction(k + 1, 2**53 - (k + 1))
-    bound = 2 * gamma / (1 - gamma) * trace
-    # the power of two above float(bound), corrected by exact comparisons
-    c = math.ldexp(1.0, math.frexp(bound)[1])
-    while c < bound:
-        c *= 2
-    while c / 2 >= bound:
-        c /= 2
-    diag = gram.diagonal().copy()
+    # exact: each entry is an integer, summed as a Python int
+    trace = sum(map(int, diag.tolist()))
+    # c = 2^e, the least power of two >= 2 gamma / (1 - gamma) * trace =
+    # num / den; with e = bits(num) - bits(den), 2^(e-1) den < num < 2^(e+1) den
+    num, den = 2 * (k + 1) * trace, 2**53 - 2 * (k + 1)
+    e = num.bit_length() - den.bit_length()
+    s = max(-e, 0)
+    if den << (e + s) < num << s:
+        e += 1
+    c = math.ldexp(1.0, e)
     shifted = diag - c
     # TwoSum: the rounding error of diag - c, zero iff the shift is exact
     back = shifted - diag
     err = (diag - (shifted - back)) + (-c - back)
     assert not err.any(), "the shift must be exact"
-    np.fill_diagonal(gram, shifted)
+    np.fill_diagonal(g, shifted)
     # the F-contiguous transpose is the same symmetric matrix, factored in place
-    _, info = lapack.dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+    _, info = lapack.dpotrf(g.T, lower=1, overwrite_a=1, clean=0)
     return info == 0
+
+
+def _proves_full_rank(gram: np.ndarray) -> bool:
+    """Whether one shifted Cholesky proves the integer PSD gram nonsingular.
+
+    A PSD matrix has full rank iff it is positive definite, so this is
+    _proves_positive_definite(gram): gram is overwritten, True is a proof
+    that rank_Q(gram) = k, and False proves nothing.
+    """
+    return _proves_positive_definite(gram)
 
 
 def _cocycle_basis(m: BoundaryMatrix, seed: int = 0):

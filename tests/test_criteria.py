@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from spectop.complexes import (
     ComplexStats,
@@ -22,8 +24,11 @@ from spectop.criteria import (
     CERTIFIED,
     INCONCLUSIVE,
     _certified,
+    _exceeds,
     _first_holding,
     _first_without_isolated,
+    _link_gram,
+    _link_laplacian,
     _spans,
     _streamed_m2,
     cohomology_hitting,
@@ -38,6 +43,7 @@ from spectop.graphs import components, from_edges, induced_subgraph
 from spectop.homology import (
     RankTracker,
     betti_stripped_identity,
+    _proves_positive_definite,
     boundary_matrix,
     rank_exact,
     reaches_rank,
@@ -207,6 +213,10 @@ class TestLinkEdges:
                     old = normalized_laplacian(induced_subgraph(lk, keep))
                     new = normalized_laplacian(from_edges(verts.size, np.searchsorted(verts, e)))
                     assert np.array_equal(new, old)
+                    # the direct build keeps from_edges' -0.0 fill, which eigh reads
+                    direct = _link_laplacian(e)
+                    assert np.array_equal(direct, new)
+                    assert np.array_equal(np.signbit(direct), np.signbit(new))
                     assert link_lambda2(e)[0] == oracle_lambda2(y, f)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -420,8 +430,11 @@ class TestEarlyExitCertified:
         load = np.bincount(y.faces.ravel(), minlength=y.n)
         order = [int(v) for v in np.argsort(load, kind="stable")]
         assert len(set(load.tolist())) > 1
-        # link_lambda2 sees only edge arrays; the pass says whose each one is
+        # _exceeds sees only edge arrays.  The pass says whose each one is;
+        # the sparsest link is read off the faces before any pass, so an
+        # array the pass did not make must be that link.
         owner = {}
+        sparsest = {tuple(e) for e in link_edges(y)[1][order[0]].tolist()}
 
         def pass_spy(y):
             faces, edges = link_edges(y)
@@ -429,30 +442,33 @@ class TestEarlyExitCertified:
             return faces, edges
 
         def vertex(edges):
-            return owner[id(edges)]
+            if id(edges) in owner:
+                return owner[id(edges)]
+            assert {tuple(e) for e in edges.tolist()} == sparsest
+            return order[0]
 
         visited = []
-        solve = criteria.link_lambda2
+        decide = criteria._exceeds
 
-        def spy(edges):
+        def spy(edges, tau):
             visited.append(vertex(edges))
-            return solve(edges)
+            return decide(edges, tau)
 
         monkeypatch.setattr(criteria, "link_edges", pass_spy)
-        monkeypatch.setattr(criteria, "link_lambda2", spy)
+        monkeypatch.setattr(criteria, "_exceeds", spy)
         assert _certified(y)
         assert visited == order
         # the densest link, visited last, failing on its own still decides
         visited.clear()
         monkeypatch.setattr(
-            criteria, "link_lambda2",
-            lambda e: (1.0, False) if vertex(e) == order[-1] else spy(e),
+            criteria, "_exceeds",
+            lambda e, tau: False if vertex(e) == order[-1] else spy(e, tau),
         )
         assert not _certified(y)
         visited.clear()
         monkeypatch.setattr(
-            criteria, "link_lambda2",
-            lambda e: (0.5, True) if vertex(e) == order[2] else spy(e),
+            criteria, "_exceeds",
+            lambda e, tau: False if vertex(e) == order[2] else spy(e, tau),
         )
         assert not _certified(y)
         assert visited == order[:2]
@@ -475,6 +491,83 @@ class TestEarlyExitCertified:
         m2t = t_hitting(proc, harness_grid(proc.total, 100)).M2T
         for m in range(max(m2t - 15, 0), min(m2t + 15, proc.total) + 1):
             self.assert_agrees(proc.prefix(m))
+
+
+def relabeled(edges, rng, labels=40):
+    """edges under a random injective relabeling into range(labels), each
+    row sorted, rows shuffled: the same graph as a link would carry it."""
+    names = rng.choice(labels, size=int(edges.max()) + 1, replace=False)
+    e = np.sort(names[edges], axis=1)
+    return e[rng.permutation(len(e))]
+
+
+CYCLE6 = np.array([(i, (i + 1) % 6) for i in range(6)])
+PETERSEN = np.array(
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, 5 + i) for i in range(5)]
+)
+
+
+class TestLinkCertificate:
+    """_exceeds: one Cholesky of _link_gram, else the eigensolve."""
+
+    @staticmethod
+    def eigensolve_verdict(edges, tau):
+        lam2, connected = link_lambda2(edges)
+        return connected and lam2 > tau
+
+    @pytest.mark.parametrize(
+        "edges,lam2,fooled_min", [(CYCLE6, Fraction(1, 2), 1), (PETERSEN, Fraction(2, 3), 0)]
+    )
+    def test_certificate_never_true_at_an_exact_tie(self, edges, lam2, fooled_min):
+        rng = np.random.default_rng(12)
+        fooled = 0
+        for _ in range(300):
+            e = relabeled(edges, rng)
+            gram = _link_gram(_link_laplacian(e), lam2)
+            # an unshifted Cholesky succeeds on some of these singular G;
+            # the shift is what makes success a proof
+            fooled += lapack.dpotrf(gram.copy(), lower=1)[1] == 0
+            assert not _proves_positive_definite(gram)
+            # just below the tie the certificate alone decides
+            assert _proves_positive_definite(_link_gram(_link_laplacian(e), lam2 - Fraction(1, 1000)))
+        assert fooled >= fooled_min
+
+    def test_gram_is_the_scaled_shifted_laplacian(self):
+        rng = np.random.default_rng(3)
+        for edges in (CYCLE6, PETERSEN):
+            e = relabeled(edges, rng)
+            lap = _link_laplacian(e)
+            d = (lap < 0).sum(axis=1)
+            u = np.sqrt(d) / np.sqrt(d.sum())
+            for tau in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)):
+                want = tau.denominator * d.sum() * (
+                    np.sqrt(np.outer(d, d)) * (lap + 2 * np.outer(u, u) - float(tau) * np.eye(len(d)))
+                )
+                assert np.allclose(_link_gram(lap, tau), want, rtol=0, atol=1e-9)
+
+    def test_disconnected_link_fails(self):
+        two_triangles = np.array([(0, 1), (1, 2), (0, 2), (5, 6), (6, 7), (5, 7)])
+        assert not _exceeds(two_triangles, Fraction(1, 2))
+        assert _exceeds(two_triangles[:3], Fraction(1, 2))
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 20, 25])
+    def test_matches_eigensolve_on_process_vertex_links(self, n):
+        proved = 0
+        for seed in range(2):
+            proc = FaceProcess(n, 2, seed=seed)
+            for m in harness_grid(proc.total, 15):
+                for e in link_edges(proc.prefix(m))[1]:
+                    assert _exceeds(e, Fraction(1, 2)) == self.eigensolve_verdict(e, 0.5)
+                    proved += _proves_positive_definite(_link_gram(_link_laplacian(e), Fraction(1, 2)))
+        assert proved > 0
+
+    def test_matches_eigensolve_on_battery(self):
+        for y in battery(seed=5):
+            if y.d == 2:
+                for e in link_edges(y)[1]:
+                    assert _exceeds(e, Fraction(1, 2)) == self.eigensolve_verdict(e, 0.5)
 
 
 class TestCohomologyHitting:

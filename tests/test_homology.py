@@ -29,6 +29,7 @@ from spectop.homology import (
     _lift,
     _null_space,
     _proves_full_rank,
+    _proves_positive_definite,
     _reduce,
     _row_cut,
     betti_dminus1,
@@ -473,6 +474,38 @@ class TestFullRankCertificate:
         assert _proves_full_rank(np.zeros((0, 0)))
         assert not _proves_full_rank(np.zeros((3, 3)))
         assert _proves_full_rank(np.eye(3))
+
+
+class TestPositiveDefiniteCertificate:
+    """_proves_positive_definite on symmetric integer matrices that are not
+    grams: the shift rule reads only the diagonal."""
+
+    def test_small_cases(self):
+        assert _proves_positive_definite(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        assert not _proves_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # a nonpositive diagonal entry refuses before any shift
+        assert not _proves_positive_definite(np.array([[2.0**40, 0.0], [0.0, 1.0 - 2.0**40]]))
+        assert not _proves_positive_definite(np.array([[3.0, 1.0], [1.0, 0.0]]))
+
+    def test_path_laplacian_plus_identity(self):
+        # tridiagonal (2, -1) of order 50: lambda_min = 2 - 2cos(pi/51) ~ 0.0038
+        t = 2 * np.eye(50) - np.eye(50, k=1) - np.eye(50, k=-1)
+        assert _proves_positive_definite(t.copy())
+        assert not _proves_positive_definite(t - np.eye(50))
+
+    def test_agrees_with_eigvalsh_off_the_boundary(self):
+        rng = np.random.default_rng(7)
+        decided = set()
+        for _ in range(200):
+            k = int(rng.integers(2, 30))
+            x = rng.integers(-3, 4, size=(k, int(rng.integers(1, 2 * k))))
+            g = (x @ x.T - int(rng.integers(0, 8)) * np.eye(k, dtype=np.int64)).astype(np.float64)
+            low = np.linalg.eigvalsh(g)[0]
+            if abs(low) < 1e-6:
+                continue
+            assert _proves_positive_definite(g.copy()) == (low > 0)
+            decided.add(bool(low > 0))
+        assert decided == {True, False}
 
 
 class TestNullSpace:

@@ -432,12 +432,14 @@ class TestEarlyExitCertified:
         assert len(set(load.tolist())) > 1
         # _exceeds sees only edge arrays.  The pass says whose each one is;
         # the sparsest link is read off the faces before any pass, so an
-        # array the pass did not make must be that link.
-        owner = {}
+        # array the pass did not make must be that link.  The pass's arrays
+        # are kept alive, so no later array can take over one of their ids.
+        owner, kept = {}, []
         sparsest = {tuple(e) for e in link_edges(y)[1][order[0]].tolist()}
 
         def pass_spy(y):
             faces, edges = link_edges(y)
+            kept.append(edges)
             owner.update((id(e), int(f[0])) for f, e in zip(faces, edges))
             return faces, edges
 

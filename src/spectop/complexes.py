@@ -6,10 +6,9 @@ by colexicographic rank, which gives flat-array degree tables and
 deterministic replay.
 
 The face-addition process is represented by its jump chain (a uniform
-permutation of all C(n, d+1) faces, drawn lazily by sparse Fisher-Yates)
-plus the analytic clock m/N <-> t = -log(1 - m/N); actual exponential
-clocks are never materialized because every tested statement depends only
-on the prefix set and the density p(t) = 1 - e^{-t}.
+permutation of all C(n, d+1) faces, drawn lazily by sparse Fisher-Yates);
+its exponential clocks are never materialized because every tested
+statement depends only on the prefix set.
 """
 from __future__ import annotations
 
@@ -37,8 +36,6 @@ __all__ = [
     "is_pure",
     "expected_isolated",
     "window_density",
-    "write_complex",
-    "read_complex",
 ]
 
 
@@ -104,19 +101,6 @@ class Complex:
     @property
     def face_count(self) -> int:
         return self.faces.shape[0]
-
-    def face_ranks(self, table=None) -> np.ndarray:
-        if table is None:
-            table = binom_table(self.n, self.d + 1)
-        return rank_faces(self.faces, table) if self.face_count else np.empty(0, dtype=np.int64)
-
-    def has_face(self, face) -> bool:
-        face = np.asarray(face, dtype=np.int64)
-        table = binom_table(self.n, self.d + 1)
-        r = int(rank_faces(face[None, :], table)[0])
-        ranks = self.face_ranks(table)
-        i = np.searchsorted(ranks, r)
-        return bool(i < ranks.size and ranks[i] == r)
 
 
 def complex_from_faces(n: int, d: int, faces) -> Complex:
@@ -185,15 +169,6 @@ class FaceProcess:
     def prefix(self, m: int) -> Complex:
         ranks = np.sort(self.first(m))
         return Complex(n=self.n, d=self.d, faces=unrank_faces(ranks, self.d + 1, self._table))
-
-    def density_at(self, m: int) -> float:
-        return m / self.total
-
-    def time_at(self, m: int) -> float:
-        """Arrival index -> process time, via p(t) = 1 - e^{-t}."""
-        if m >= self.total:
-            return math.inf
-        return -math.log1p(-m / self.total)
 
 
 def link(y: Complex, f) -> Graph:
@@ -293,38 +268,13 @@ def expected_isolated(n: int, d: int, p: float) -> float:
     return math.comb(n, d) * (1.0 - p) ** (n - d)
 
 
-def window_density(n: int, d: int, c: float, matched: bool = True) -> float:
+def window_density(n: int, d: int, c: float) -> float:
     """Density inside the Poisson window, parametrized by the constant c.
 
-    matched=True solves C(n,d)(1-p)^(n-d) = e^{-c}/d! exactly, so the
-    finite-n expected isolated count equals the limiting Poisson mean;
-    matched=False returns the literal (d log n + c)/n, which differs from
-    the solved value by o(1) but has a visibly biased mean at small n.
+    Solves C(n,d)(1-p)^(n-d) = e^{-c}/d! exactly, so the finite-n expected
+    isolated count equals the limiting Poisson mean; the literal
+    (d log n + c)/n differs from it by o(1) but has a visibly biased mean
+    at small n.
     """
-    if not matched:
-        return (d * math.log(n) + c) / n
     target = math.exp(-c) / math.factorial(d)
     return 1.0 - (target / math.comb(n, d)) ** (1.0 / (n - d))
-
-
-def write_complex(y: Complex, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{y.n} {y.d} {y.face_count}\n")
-        for row in y.faces:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def read_complex(path) -> Complex:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("header must be 'n d m'")
-        n, d, m = (int(x) for x in header)
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(x) for x in line.split()])
-    if len(rows) != m:
-        raise ValueError(f"expected {m} faces, found {len(rows)}")
-    return complex_from_faces(n, d, rows)

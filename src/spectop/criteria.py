@@ -12,12 +12,13 @@ which each property holds: M1 by a block scan over the arrivals; M2
 (vanishing cohomology) by one pass over the arrivals after M1 that tracks a
 basis of the surviving cocycles mod p, its answer proved from above by a
 rank certificate and from below by an integer cocycle, with a search over
-prefixes from M1 as the fallback when a proof fails; connectivity by that
-search; and the structure verdict by a grid scan.  That scan only needs a
-yes/no answer per vertex link (lambda_2 > 1/2), so it asks it of one
-integer matrix that is positive definite exactly then, by the shifted
-Cholesky certificate of homology._proves_positive_definite; the eigensolve
-decides only the links the certificate does not prove.
+prefixes from M1 as the fallback when a proof fails, each probe one
+homology.rank_mod_p call; connectivity by that search; and the structure
+verdict by a grid scan.  That scan only needs a yes/no answer per vertex
+link (lambda_2 > 1/2), so it asks it of one integer matrix that is
+positive definite exactly then, by the shifted Cholesky certificate of
+homology._proves_positive_definite; the eigensolve decides only the links
+the certificate does not prove.
 """
 
 import math
@@ -43,7 +44,7 @@ from .homology import (
     _lift,
     _proves_positive_definite,
     boundary_matrix,
-    reaches_rank,
+    rank_mod_p,
 )
 from .spectral import ZERO_TOL, GapResult, full_spectrum, gap
 
@@ -323,8 +324,14 @@ def _first_holding(proc: FaceProcess, m1: int, holds: Callable[[int], bool]) -> 
 
 def _spans(proc: FaceProcess, m: int, seed: int) -> bool:
     """Whether the first m arrivals have boundary rank C(n-1, d): a proof
-    when True, wrong with small probability when False (homology.reaches_rank)."""
-    return reaches_rank(boundary_matrix(proc.prefix(m)), math.comb(proc.n - 1, proc.d), seed)
+    when True, wrong with small probability when False (homology.rank_mod_p).
+
+    The cut gram has at most C(n-1, d) rows, so the rank reaches that target
+    only by equalling it.  Fewer than C(n-1, d) faces cannot reach it, and
+    are refused with no rank call.
+    """
+    target = math.comb(proc.n - 1, proc.d)
+    return m >= target and rank_mod_p(boundary_matrix(proc.prefix(m)), seed) == target
 
 
 def _streamed_m2(proc: FaceProcess, m1: int, seed: int = 0):
@@ -395,10 +402,10 @@ def cohomology_hitting(proc: FaceProcess, seed: int = 0) -> HittingReport:
     mod p, proved from above by a rank certificate at it and from below by
     an integer cocycle one arrival earlier.  Either way M2 is exact.  When a
     proof fails, the rank, monotone in m, is searched from M1 by
-    _first_holding, as homology.reaches_rank decides it; each "not yet"
-    verdict there has failed at two primes, the only direction in which a
-    mod-p rank can be wrong.  Both times exist because the complete complex
-    has neither obstruction.
+    _first_holding, as _spans decides it with homology.rank_mod_p; each
+    "not yet" verdict there has too few faces or has failed at two primes,
+    the only direction in which a mod-p rank can be wrong.  Both times exist
+    because the complete complex has neither obstruction.
     """
     if proc.d < 2:
         raise ValueError("cohomology scan needs dimension >= 2")

@@ -7,8 +7,8 @@ the two boundary ranks).
 
 Rank engines:
 
-- full-rank certificate (_proves_full_rank), tried first by rank_mod_p and
-  reaches_rank on the k x k cut gram G described below.  G is an integer
+- full-rank certificate, tried first by rank_mod_p and _cocycle_basis on
+  the k x k cut gram G described below.  G is an integer
   positive-semidefinite matrix, so full rank is positive definiteness,
   which _proves_positive_definite decides for any symmetric integer
   matrix whose entries float64 holds exactly (criteria's vertex-link
@@ -27,8 +27,8 @@ Rank engines:
   positive definiteness", BIT 46, 2006).  A factorization that succeeds
   therefore gives lambda_min(G) >= c - ||E||_2 > 0 exactly.  One that
   fails proves nothing, and the mod-p engine decides.
-- batch mod-p (rank_mod_p, reaches_rank), for every gram the certificate
-  does not prove nonsingular:
+- batch mod-p (rank_mod_p), for every gram the certificate does not prove
+  nonsingular:
   blocked elimination over GF(p), p a random prime in [2^22, 2^23), of a
   gram G of the boundary matrix B cut to fewer rows.
   - The row cut.  B's image lies in the cycle space of the full simplex,
@@ -70,7 +70,9 @@ Rank engines:
     proves the rank below C(n-1, d) there, with no probability left.
 - streaming mod-p (RankTracker): one column at a time over a random 62-bit
   prime on Python integers; a bad prime can only lower the rank, with
-  probability at most dim/2^62 per run.
+  probability at most dim/2^62 per run.  No rank path here calls it; it is
+  kept as the reference that acceptance criterion 14 and the benchmark's
+  environment record and tracer read.
 - fraction-free integer elimination (rank_exact): exact, size-capped; the
   tests' oracle.
 """
@@ -91,10 +93,8 @@ __all__ = [
     "BoundaryMatrix",
     "RankTracker",
     "is_prime_u64",
-    "random_prime",
     "boundary_matrix",
     "rank_mod_p",
-    "reaches_rank",
     "rank_exact",
     "betti_dminus1",
     "betti_stripped_identity",
@@ -150,10 +150,6 @@ def _random_primes(bits: int, seed: int, count: int) -> list:
     return primes
 
 
-def random_prime(bits: int = 62, seed: int = 0) -> int:
-    return _random_primes(bits, seed, 1)[0]
-
-
 def _field_primes(seed: int) -> list:
     """The batch engine's two distinct primes in [2^22, 2^23)."""
     return _random_primes(_PRIME_BITS, seed, 2)
@@ -180,32 +176,17 @@ class BoundaryMatrix:
     def signs(self) -> np.ndarray:
         return np.array([1 if i % 2 == 0 else -1 for i in range(self.dim + 1)], dtype=np.int64)
 
-    def column(self, j: int):
-        return self.col_rows[j], self.signs
-
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
         out[self.col_rows, np.arange(self.n_cols)[:, None]] = self.signs
         return out
 
 
-def _boundary_of(n: int, faces: np.ndarray, table: np.ndarray) -> BoundaryMatrix:
-    k = faces.shape[1] if faces.size else 0
-    dim = k - 1
-    if faces.size == 0:
-        raise ValueError("cannot infer dimension from an empty face array")
-    n_rows = int(table[n, dim])
-    return BoundaryMatrix(n=n, dim=dim, n_rows=n_rows, col_rows=facet_ranks(faces, table))
-
-
 def boundary_matrix(y: Complex) -> BoundaryMatrix:
     table = binom_table(y.n, y.d + 1)
-    if y.face_count == 0:
-        return BoundaryMatrix(
-            n=y.n, dim=y.d, n_rows=int(table[y.n, y.d]),
-            col_rows=np.empty((0, y.d + 1), dtype=np.int64),
-        )
-    return _boundary_of(y.n, y.faces, table)
+    return BoundaryMatrix(
+        n=y.n, dim=y.d, n_rows=int(table[y.n, y.d]), col_rows=facet_ranks(y.faces, table)
+    )
 
 
 class _PythonCore:
@@ -252,7 +233,7 @@ class RankTracker:
 
     def __init__(self, n_rows: int, prime: Optional[int] = None, seed: int = 0):
         if prime is None:
-            prime = random_prime(seed=seed)
+            prime = _random_primes(62, seed, 1)[0]
         if prime <= 2**40:
             raise ValueError("prime must exceed 2^40")
         self.prime = prime
@@ -266,10 +247,6 @@ class RankTracker:
     def add_column(self, rows, vals) -> bool:
         """Feed one sparse column; returns whether the rank grew."""
         return self._core.add_column(rows, vals)
-
-    def add_face_column(self, m: BoundaryMatrix, j: int) -> bool:
-        rows, signs = m.column(j)
-        return self.add_column(rows, signs)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -439,24 +416,15 @@ def _proves_positive_definite(g: np.ndarray) -> bool:
     return info == 0
 
 
-def _proves_full_rank(gram: np.ndarray) -> bool:
-    """Whether one shifted Cholesky proves the integer PSD gram nonsingular.
-
-    A PSD matrix has full rank iff it is positive definite, so this is
-    _proves_positive_definite(gram): gram is overwritten, True is a proof
-    that rank_Q(gram) = k, and False proves nothing.
-    """
-    return _proves_positive_definite(gram)
-
-
 def _cocycle_basis(m: BoundaryMatrix, seed: int = 0):
     """(p, Y): a basis over GF(p) of m's cocycles that vanish off _row_cut(m).
 
     Y is an int64 array with one row per basis cocycle and one column per
     row of m, entries in [0, p), zero on the rows the cut drops, and
     Y B = 0 (mod p), p being the first of _field_primes(seed).  Y has no
-    rows when the cut gram B'B'^T is nonsingular: proved by
-    _proves_full_rank, when p is None (no prime was drawn), or mod p.
+    rows when the cut gram B'B'^T is nonsingular: proved positive definite
+    by _proves_positive_definite, when p is None (no prime was drawn), or
+    mod p.
     Otherwise Y is the gram's null space mod p, which holds the
     cocycles, and is exactly them when Y B = 0 (mod p) checks on m's sparse
     columns.  None when it does not (a vector y with y B'B'^T = 0 but
@@ -465,7 +433,7 @@ def _cocycle_basis(m: BoundaryMatrix, seed: int = 0):
     """
     if m.n_cols < math.comb(m.n - 1, m.dim):
         return None
-    if _proves_full_rank(_cut_gram(m, np.float64)):
+    if _proves_positive_definite(_cut_gram(m, np.float64)):
         return None, np.zeros((0, m.n_rows), dtype=np.int64)
     p = _field_primes(seed)[0]
     null = _null_space(_cut_gram(m, np.float32), p)
@@ -508,7 +476,8 @@ def _lift(y: np.ndarray, p: int) -> Optional[np.ndarray]:
 
 
 def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
-    """Rank of m, exact when the cut gram passes _proves_full_rank.
+    """Rank of m, exact when the cut gram, an integer PSD matrix, passes
+    _proves_positive_definite: PSD and positive definite means full rank.
 
     Otherwise the rank of the cut gram over two random primes: exact after
     the first prime when the gram is nonsingular mod p, else the larger of
@@ -517,7 +486,7 @@ def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
     """
     gram = _cut_gram(m, np.float64)
     k = len(gram)
-    if _proves_full_rank(gram):
+    if _proves_positive_definite(gram):
         return k
     del gram
     rank = 0
@@ -526,24 +495,6 @@ def rank_mod_p(m: BoundaryMatrix, seed: int = 0) -> int:
         if rank == k:
             break
     return rank
-
-
-def reaches_rank(m: BoundaryMatrix, target: int, seed: int = 0) -> bool:
-    """Whether rank_Q(m) >= target.
-
-    True is exact: the cut gram has at least target rows and passes
-    _proves_full_rank, or some prime already gives that rank.  False means
-    the gram is too small, or the certificate failed and both primes fell
-    short, which is wrong only with the probability bounded in the module
-    docstring.  The second prime runs only after the first falls short.
-    """
-    gram = _cut_gram(m, np.float64)
-    if len(gram) < target:
-        return False
-    if _proves_full_rank(gram):
-        return True
-    del gram
-    return any(_eliminate(_cut_gram(m, np.float32), p)[0] >= target for p in _field_primes(seed))
 
 
 def rank_exact(m) -> int:
@@ -595,16 +546,12 @@ def betti_stripped_identity(y: Complex, seed: int = 0):
         raise ValueError("stripping needs dimension >= 2")
     stats = isolated_faces(y)
     isolated = stats.isolated_count
-    table = binom_table(y.n, y.d + 1)
 
     rank_d = rank_mod_p(boundary_matrix(y), seed=seed)
     b_full = math.comb(y.n - 1, y.d) - rank_d
 
     kept = np.flatnonzero(stats.degrees > 0)
-    if kept.size == 0:
-        rank_dm1 = 0
-    else:
-        kept_faces = unrank_faces(kept, y.d, table)
-        rank_dm1 = rank_mod_p(_boundary_of(y.n, kept_faces, table), seed=seed)
+    faces = unrank_faces(kept, y.d, binom_table(y.n, y.d))
+    rank_dm1 = rank_mod_p(boundary_matrix(Complex(y.n, y.d - 1, faces)), seed=seed)
     b_stripped = int(kept.size) - rank_dm1 - rank_d
     return b_full, b_stripped, isolated

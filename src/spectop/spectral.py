@@ -37,7 +37,6 @@ __all__ = [
     "giant_gap",
     "gap_at_most",
     "adjacency_seminorm",
-    "rayleigh_bound",
 ]
 
 # eigenvalues below this count as kernel; dense solver residuals are ~1e-12
@@ -267,30 +266,3 @@ def adjacency_seminorm(g: Graph) -> float:
         top, _ = _extreme_ritz(papa, n, "LA", _start_vector(np.full(n, n**-0.5)))
     return float(np.sqrt(max(top, 0.0)))
 
-
-def rayleigh_bound(g: Graph, f) -> float:
-    """Eigenvalue bound from one test vector f orthogonal to T^{1/2} * ones.
-
-    With R = f^t T^{-1/2} A T^{-1/2} f / ||f||^2, both lambda_2 <= 1 - R and
-    lambda_max >= 1 - R hold; the caller picks the relevant side per sign(R).
-    The quotient is taken against L itself, so coordinates of degree 0
-    contribute 0 rather than 1 (this only differs from 1 - R when f puts
-    mass on isolated vertices, where 1 - R alone would overstate lambda_max).
-    """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g.n,):
-        raise ValueError("test vector has wrong length")
-    fnorm = np.linalg.norm(f)
-    if fnorm == 0.0:
-        raise ValueError("test vector is zero")
-    deg = g.degrees.astype(np.float64)
-    tsqrt = np.sqrt(deg)
-    if abs(float(f @ tsqrt)) > 1e-9 * fnorm * np.linalg.norm(tsqrt):
-        raise ValueError("test vector not orthogonal to T^{1/2} ones")
-    with np.errstate(divide="ignore"):
-        dinv = 1.0 / tsqrt
-    dinv[~np.isfinite(dinv)] = 0.0
-    u = f * dinv
-    quad = sum(float(u[v] * u[nbrs].sum()) for v, nbrs in enumerate(g.adj) if nbrs.size)
-    supported = float(f[deg > 0] @ f[deg > 0])
-    return (supported - quad) / float(fnorm**2)

@@ -40,13 +40,14 @@ from spectop.criteria import (
     zuk_check,
 )
 from spectop.graphs import components, from_edges, induced_subgraph
+import spectop.homology as homology
 from spectop.homology import (
     RankTracker,
     betti_stripped_identity,
     _proves_positive_definite,
     boundary_matrix,
     rank_exact,
-    reaches_rank,
+    rank_mod_p,
 )
 from spectop.seeding import derive_seed
 from spectop.spectral import full_spectrum, gap, normalized_laplacian
@@ -710,19 +711,47 @@ class TestStreamedM2:
         # the streamed path's only rank call is the upper-bound proof
         refused = []
 
-        def refuse_first(m, target, seed=0):
+        def refuse_first(m, seed=0):
+            rank = rank_mod_p(m, seed)
             if not refused:
                 refused.append(m.n_cols)
-                return False
-            return reaches_rank(m, target, seed)
+                # a mod-p rank can only fall short
+                return rank - 1
+            return rank
 
-        monkeypatch.setattr(criteria, "reaches_rank", refuse_first)
+        monkeypatch.setattr(criteria, "rank_mod_p", refuse_first)
         for seed, m2 in self.LATE.items():
             refused.clear()
             assert cohomology_hitting(FaceProcess(25, 2, seed=seed), seed=seed).M2 == m2
             # the refused rank was the candidate's, a prefix of M2 faces
             assert refused == [m2]
         assert search_spy == list(self.LATE_M1.values())
+
+
+class TestSpans:
+    """_spans: rank_mod_p's rank against C(n-1, d), with no rank call below
+    C(n-1, d) faces."""
+
+    # below: probes from M1 with fewer than C(n-1, 2) faces
+    @pytest.mark.parametrize("n,seed,below", [(10, 3, 3), (25, 115, 0)])
+    def test_matches_exact_rank_from_m1_to_past_m2(self, n, seed, below, monkeypatch):
+        proc = FaceProcess(n, 2, seed=seed)
+        target = math.comb(n - 1, 2)
+        h = cohomology_hitting(proc, seed=seed)
+        probes = range(h.M1, h.M2 + 3)
+        assert sum(m < target for m in probes) == below
+        grams = []
+        cut_gram = homology._cut_gram
+
+        def spy(m, dtype):
+            grams.append(m.n_cols)
+            return cut_gram(m, dtype)
+
+        monkeypatch.setattr(homology, "_cut_gram", spy)
+        for m in probes:
+            grams.clear()
+            assert _spans(proc, m, seed) == (rank_exact(boundary_matrix(proc.prefix(m))) == target)
+            assert (grams == []) == (m < target), m
 
 
 class TestTHitting:

@@ -7,6 +7,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from spectop.complexes import (
+    Complex,
     FaceProcess,
     binom_table,
     complex_from_faces,
@@ -21,14 +22,12 @@ import spectop.homology as homology
 from spectop.homology import (
     BoundaryMatrix,
     RankTracker,
-    _boundary_of,
     _cocycle_basis,
     _cut_gram,
     _eliminate,
     _field_primes,
     _lift,
     _null_space,
-    _proves_full_rank,
     _proves_positive_definite,
     _reduce,
     _row_cut,
@@ -38,8 +37,6 @@ from spectop.homology import (
     is_prime_u64,
     rank_exact,
     rank_mod_p,
-    random_prime,
-    reaches_rank,
 )
 
 
@@ -64,7 +61,7 @@ def tracker_rank(m, seed):
     """Rank of a boundary matrix streamed column by column through RankTracker."""
     tracker = RankTracker(m.n_rows, seed=seed)
     for j in range(m.n_cols):
-        tracker.add_face_column(m, j)
+        tracker.add_column(m.col_rows[j], m.signs)
     return tracker.rank
 
 
@@ -98,9 +95,9 @@ def row_cut_by_loop(m):
 def stripped_boundary(y):
     """The (d-1)-boundary of y's faces of positive degree, as
     betti_stripped_identity builds it."""
-    table = binom_table(y.n, y.d + 1)
     kept = np.flatnonzero(isolated_faces(y).degrees > 0)
-    return _boundary_of(y.n, unrank_faces(kept, y.d, table), table)
+    faces = unrank_faces(kept, y.d, binom_table(y.n, y.d))
+    return boundary_matrix(Complex(y.n, y.d - 1, faces))
 
 
 def complex_draw(seed, d_choices, p_range):
@@ -117,12 +114,13 @@ class TestPrimes:
         assert not is_prime_u64(1) and not is_prime_u64(561) and not is_prime_u64(2**62)
 
     def test_random_prime_is_62_bits(self):
-        p = random_prime(seed=5)
+        # RankTracker's default prime
+        p = RankTracker(10, seed=5).prime
         assert 2**61 <= p < 2**62
         assert is_prime_u64(p)
 
     def test_reproducible(self):
-        assert random_prime(seed=9) == random_prime(seed=9)
+        assert RankTracker(10, seed=9).prime == RankTracker(10, seed=9).prime
 
     def test_small_prime_rejected_by_tracker(self):
         with pytest.raises(ValueError):
@@ -213,7 +211,7 @@ class TestRank:
         tracker = RankTracker(m.n_rows, seed=1)
         grew = 0
         for j in rng.permutation(m.n_cols):
-            grew += tracker.add_face_column(m, int(j))
+            grew += tracker.add_column(m.col_rows[j], m.signs)
         assert tracker.rank == batch == grew
         assert tracker.rank <= min(m.n_rows, m.n_cols)
 
@@ -223,7 +221,7 @@ class TestRank:
         tracker = RankTracker(m.n_rows, seed=0)
         last = 0
         for j in range(m.n_cols):
-            tracker.add_face_column(m, j)
+            tracker.add_column(m.col_rows[j], m.signs)
             assert tracker.rank >= last
             last = tracker.rank
 
@@ -345,12 +343,16 @@ class TestBatchEngine:
         assert max(rank_at(a, p) for p in (p1, p3)) == 2
         assert max(rank_at(a, p) for p in (p1, p2)) == 1
 
-    def test_reaches_rank_is_a_certificate(self):
+    def test_full_rank_is_a_certificate(self, monkeypatch):
+        # the cut gram has C(n-1, d) rows, so no rank above that is reached;
+        # the full complex's gram is proved nonsingular, with no elimination
         m = boundary_matrix(full_complex(7, 2))
         target = math.comb(6, 2)
-        assert reaches_rank(m, target, seed=4)
-        assert not reaches_rank(m, target + 1, seed=4)
+        assert len(_cut_gram(m, np.float64)) == target
+        calls = []
+        monkeypatch.setattr(homology, "_eliminate", lambda a, p: calls.append(p) or _eliminate(a, p))
         assert rank_mod_p(m, seed=4) == target
+        assert calls == []
 
 
 class TestRowCut:
@@ -403,11 +405,11 @@ class TestRowCut:
             return _eliminate(a, p)
 
         def cert_spy(gram):
-            certified.append(_proves_full_rank(gram))
+            certified.append(_proves_positive_definite(gram))
             return certified[-1]
 
         monkeypatch.setattr(homology, "_eliminate", spy)
-        monkeypatch.setattr(homology, "_proves_full_rank", cert_spy)
+        monkeypatch.setattr(homology, "_proves_positive_definite", cert_spy)
         seen = set()
         for seed in range(1500, 1560):
             y = complex_draw(seed, [1, 2, 3], (0.05, 0.9))
@@ -432,7 +434,8 @@ class TestRowCut:
 
 
 class TestFullRankCertificate:
-    """_proves_full_rank: one Cholesky of the cut gram shifted by c."""
+    """_proves_positive_definite as rank_mod_p's full-rank certificate: one
+    Cholesky of the cut gram shifted by c."""
 
     def test_never_true_on_a_singular_gram(self):
         singular = fooled = 0
@@ -447,7 +450,7 @@ class TestFullRankCertificate:
                 # an unshifted Cholesky succeeds on some singular grams;
                 # the shift is what makes success a proof
                 fooled += lapack.dpotrf(gram.copy(), lower=1)[1] == 0
-            assert _proves_full_rank(gram) == full
+            assert _proves_positive_definite(gram) == full
         assert singular >= 20 and fooled >= 3
 
     @pytest.mark.parametrize("n", [25, 40])
@@ -459,7 +462,7 @@ class TestFullRankCertificate:
             gram = _cut_gram(m, np.float32)
             # nonsingular mod p proves nonsingular over Q
             full = _eliminate(gram.copy(), _field_primes(seed)[0])[0] == len(gram)
-            assert _proves_full_rank(gram.astype(np.float64)) == full
+            assert _proves_positive_definite(gram.astype(np.float64)) == full
             proved += full
         assert proved >= 30
 
@@ -467,13 +470,13 @@ class TestFullRankCertificate:
         # pascal(20) has determinant 1, but its condition number (~1e21)
         # defeats any float64 Cholesky
         a = scipy.linalg.pascal(20)
-        assert not _proves_full_rank(a.astype(np.float64))
+        assert not _proves_positive_definite(a.astype(np.float64))
         assert all(rank_at(a, p) == 20 for p in _field_primes(0))
 
     def test_empty_and_zero_grams(self):
-        assert _proves_full_rank(np.zeros((0, 0)))
-        assert not _proves_full_rank(np.zeros((3, 3)))
-        assert _proves_full_rank(np.eye(3))
+        assert _proves_positive_definite(np.zeros((0, 0)))
+        assert not _proves_positive_definite(np.zeros((3, 3)))
+        assert _proves_positive_definite(np.eye(3))
 
 
 class TestPositiveDefiniteCertificate:
@@ -670,7 +673,7 @@ class TestStrippedIdentity:
             d = 2
         y = sample_complex(n, d, float(rng.uniform(0.05, 0.8)), seed=seed)
         b, bs, iso = betti_stripped_identity(y, seed=seed)
-        rank_kept = rank_mod_p(stripped_boundary(y), seed=seed) if y.face_count else 0
+        rank_kept = rank_mod_p(stripped_boundary(y), seed=seed)
         assert b - bs - iso == rank_kept - math.comb(n - 1, d - 1)
         if rank_kept == math.comb(n - 1, d - 1):
             assert b == bs + iso

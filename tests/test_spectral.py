@@ -14,7 +14,6 @@ from spectop.spectral import (
     gap_at_most,
     giant_gap,
     normalized_laplacian,
-    rayleigh_bound,
 )
 from helpers import (
     complete,
@@ -209,81 +208,6 @@ class TestAdjacencySeminorm:
         proj = np.eye(n) - np.ones((n, n)) / n
         oracle = np.linalg.svd(proj @ a, compute_uv=False)[0]
         assert adjacency_seminorm(g) == pytest.approx(oracle, abs=1e-8)
-
-
-class TestRayleighBounds:
-    def test_degree_two_adjacent_pair_witness(self):
-        # path u-v-w-x with f = e_v - e_w: R = -1/2, so lambda_max >= 3/2
-        g = path(4)
-        f = np.array([0.0, 1.0, -1.0, 0.0])
-        upper2 = lowern = rayleigh_bound(g, f)
-        assert upper2 == pytest.approx(1.5)
-        assert lowern == pytest.approx(1.5)
-        assert gap(g).lambda_max >= 1.5 - 1e-12
-
-    def test_second_witness_form(self):
-        # star-ended path: centers v,w of degree 2, ends u,x of high degree
-        m = 9
-        edges = [(0, 1), (1, 2), (2, 3)]
-        nxt = 4
-        for _ in range(m - 1):
-            edges.append((0, nxt))
-            nxt += 1
-        for _ in range(m - 1):
-            edges.append((3, nxt))
-            nxt += 1
-        g = from_edges(nxt, edges)
-        assert g.degrees[0] == m and g.degrees[3] == m
-        f = np.zeros(nxt)
-        f[1] = f[2] = 1.0 / np.sqrt(2.0)
-        f[0] = -1.0 / np.sqrt(m)
-        f[3] = -1.0 / np.sqrt(m)
-        upper2 = rayleigh_bound(g, f)
-        assert upper2 <= 0.5 + 2.0 / np.sqrt(m) + 2.0 / m
-        assert gap(g).lambda2 <= upper2 + 1e-9
-
-    def test_tight_on_eigenvectors(self):
-        g = erdos_renyi(GraphParams(n=25, p=0.4, seed=4))
-        lap = normalized_laplacian(g)
-        vals, vecs = np.linalg.eigh(lap)
-        for i in range(len(vals)):
-            if vals[i] >= 1.0:
-                lower = rayleigh_bound(g, vecs[:, i])
-                assert lower == pytest.approx(vals[i], abs=1e-9)
-                break
-        else:
-            pytest.skip("no eigenvalue >= 1")
-
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError):
-            rayleigh_bound(complete(3), np.ones(3))
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError):
-            rayleigh_bound(complete(3), np.zeros(3))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            rayleigh_bound(complete(3), np.array([1.0, -1.0]))
-
-    def test_never_contradicts_spectrum(self):
-        rng = np.random.default_rng(100)
-        done = 0
-        while done < 100:
-            n = int(rng.integers(3, 51))
-            g = random_graph_from_rng(n, float(rng.uniform(0.05, 0.9)), rng)
-            tsqrt = np.sqrt(g.degrees.astype(float))
-            f = rng.standard_normal(n)
-            tn = tsqrt @ tsqrt
-            if tn > 0:
-                f -= (f @ tsqrt) / tn * tsqrt
-            if np.linalg.norm(f) < 1e-9:
-                continue
-            upper2 = lowern = rayleigh_bound(g, f)
-            vals = full_spectrum(normalized_laplacian(g)).eigenvalues
-            assert upper2 >= vals[1] - 1e-7
-            assert lowern <= vals[-1] + 1e-7
-            done += 1
 
 
 def _giant(g):

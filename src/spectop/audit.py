@@ -125,17 +125,11 @@ def audit(g: Graph, d: float, M: float) -> ConditionReport:
     else:
         c3 = parallel_norm(g, fz) * d / math.sqrt(n)
 
-    independent = True
-    for v in members:
-        if np.any(in_fuzz[g.adj[v]]):
-            independent = False
-            break
+    # fuzz neighbours of every vertex, in one pass over the CSR rows
+    fuzz_nbrs = g.sparse_adjacency() @ in_fuzz
+    independent = not np.any(fuzz_nbrs[in_fuzz])
     small = members.size <= n / 2
-    neighbor_ok = True
-    for u in np.flatnonzero(~in_fuzz):
-        if int(in_fuzz[g.adj[u]].sum()) > 1:
-            neighbor_ok = False
-            break
+    neighbor_ok = not np.any(fuzz_nbrs[~in_fuzz] > 1)
 
     report = ConditionReport(
         n=n, d=d, M=M, C1=c1, C2=c2, C3=c3,
@@ -295,12 +289,14 @@ def find_path_witness(g: Graph, m: int) -> Optional[PathWitness]:
     for v in range(g.n):
         if deg[v] != 2:
             continue
-        for w in g.adj[v]:
+        nv = g.neighbors(v)
+        for w in nv:
             w = int(w)
             if deg[w] != 2:
                 continue
-            u = int(g.adj[v][0]) if int(g.adj[v][1]) == w else int(g.adj[v][1])
-            x = int(g.adj[w][0]) if int(g.adj[w][1]) == v else int(g.adj[w][1])
+            nw = g.neighbors(w)
+            u = int(nv[0]) if int(nv[1]) == w else int(nv[1])
+            x = int(nw[0]) if int(nw[1]) == v else int(nw[1])
             if u == x or u == w or x == v:
                 continue
             if deg[u] < m or deg[x] < m:

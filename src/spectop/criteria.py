@@ -46,7 +46,7 @@ from .homology import (
     boundary_matrix,
     rank_mod_p,
 )
-from .spectral import ZERO_TOL, GapResult, full_spectrum, gap
+from .spectral import ZERO_TOL, GapResult, full_spectrum, gap, laplacian_from_edges
 
 # not called here; perfbench/tracing.py patches these names in this module
 # and exits when one is missing
@@ -115,22 +115,11 @@ class HittingReport:
 
 
 def _link_laplacian(edges: np.ndarray) -> np.ndarray:
-    """Normalized Laplacian of one nonempty link, from its edge array.
-
-    The link is taken on its positive-degree vertices, relabeled in
-    increasing order.  Each entry is computed as
-    spectral.normalized_laplacian computes it on from_edges' graph: 1 on the
-    diagonal, -(1/sqrt(d_i) * 1/sqrt(d_j)) on an edge and -0.0 elsewhere,
-    so the two arrays are equal bit for bit, zero signs included (eigh
-    reads the signs).
-    """
+    """Normalized Laplacian of one nonempty link, from its edge array, on its
+    positive-degree vertices relabeled in increasing order."""
     verts = np.unique(edges)
     u, v = np.searchsorted(verts, edges).T
-    dinv = 1.0 / np.sqrt(np.bincount(u, minlength=verts.size) + np.bincount(v, minlength=verts.size))
-    lap = np.full((verts.size, verts.size), -0.0)
-    lap[u, v] = lap[v, u] = -(dinv[u] * dinv[v])
-    lap.ravel()[:: verts.size + 1] = 1.0
-    return lap
+    return laplacian_from_edges(verts.size, u, v)
 
 
 def link_lambda2(edges: np.ndarray) -> Tuple[float, bool]:

@@ -2,8 +2,8 @@
 
 Covers sampling (Erdos-Renyi via a geometric-skip stream over edge slots),
 connected components with a deterministic giant-component tie-break, induced
-subgraphs, and ordered cross-edge counts.  Graphs are immutable: adjacency is
-a tuple of sorted int64 arrays, safe to share read-only across trials.
+subgraphs, and ordered cross-edge counts.  Graphs are immutable CSR arrays
+(int64, each row sorted), safe to share read-only across trials.
 """
 from __future__ import annotations
 
@@ -29,50 +29,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """n vertices; adj[u] is the sorted array of u's neighbors."""
+    """n vertices in CSR form: u's neighbors are indices[indptr[u]:indptr[u+1]],
+    sorted, and every edge appears once in each endpoint's row (int64)."""
 
     n: int
-    adj: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([a.size for a in self.adj], dtype=np.int64)
+        return np.diff(self.indptr)
 
     @property
     def edge_count(self) -> int:
-        return sum(a.size for a in self.adj) // 2
+        return self.indices.size // 2
+
+    def neighbors(self, u: int) -> np.ndarray:
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def _rows(self) -> np.ndarray:
+        """The row (source vertex) of each entry of indices."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
     def edges(self) -> np.ndarray:
         """(m, 2) array of edges with u < v, sorted lexicographically."""
-        out = []
-        for u, nbrs in enumerate(self.adj):
-            upper = nbrs[nbrs > u]
-            if upper.size:
-                out.append(np.column_stack([np.full(upper.size, u), upper]))
-        if not out:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(out).astype(np.int64)
+        rows = self._rows()
+        upper = rows < self.indices
+        return np.column_stack([rows[upper], self.indices[upper]])
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.adj[u]
+        nbrs = self.neighbors(u)
         i = np.searchsorted(nbrs, v)
         return i < nbrs.size and nbrs[i] == v
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (float64)."""
-        a = np.zeros((self.n, self.n))
-        for u, nbrs in enumerate(self.adj):
-            a[u, nbrs] = 1.0
-        return a
+        return self.sparse_adjacency().toarray()
 
     def sparse_adjacency(self) -> csr_matrix:
-        """0/1 adjacency matrix (float64) in CSR form, rows read off adj."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=indptr[1:])
-        indices = np.concatenate(self.adj) if self.n else np.empty(0, dtype=np.int64)
-        return csr_matrix((np.ones(indices.size), indices, indptr), shape=(self.n, self.n))
+        """0/1 adjacency matrix (float64) in CSR form, with its own data array."""
+        return csr_matrix((np.ones(self.indices.size), self.indices, self.indptr), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,11 @@ def from_edges(n: int, edges) -> Graph:
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loop")
     # both orientations as int64 keys src*n + dst: one sort dedupes them
-    # and leaves them in (src, dst) order
+    # and leaves them in (src, dst) order, so row u starts at the first key >= u*n
     u, v = edges[:, 0], edges[:, 1]
-    src, dst = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u])), n)
-    cuts = np.searchsorted(src, np.arange(1, n))
-    # np.split always returns at least one piece, so n == 0 needs its own case
-    adj = tuple(np.ascontiguousarray(a) for a in np.split(dst, cuts)) if n else ()
-    return Graph(n=n, adj=adj)
+    keys = np.unique(np.concatenate([u * n + v, v * n + u]))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return Graph(n=n, indptr=indptr, indices=keys % n)
 
 
 def _slots_to_edges(slots: np.ndarray) -> np.ndarray:
@@ -175,26 +171,19 @@ def induced_subgraph(g: Graph, vs) -> Graph:
     vs = np.unique(np.asarray(vs, dtype=np.int64))
     if vs.size and (vs.min() < 0 or vs.max() >= g.n):
         raise ValueError("vertex out of range")
-    adj = []
-    for u in vs:
-        nbrs = g.adj[u]
-        idx = np.searchsorted(vs, nbrs)
-        idx[idx == vs.size] = 0
-        keep = vs[idx] == nbrs
-        adj.append(np.ascontiguousarray(idx[keep] if nbrs.size else nbrs))
-    return Graph(n=int(vs.size), adj=tuple(adj))
+    keep = np.zeros(g.n, dtype=bool)
+    keep[vs] = True
+    rows = g._rows()
+    kept = keep[rows] & keep[g.indices]
+    # the relabeling is increasing, so rows stay in order and each stays sorted
+    label = np.cumsum(keep) - 1
+    indptr = np.searchsorted(label[rows[kept]], np.arange(vs.size + 1))
+    return Graph(n=int(vs.size), indptr=indptr, indices=label[g.indices[kept]])
 
 
 def cross_edges(g: Graph, A, B) -> int:
     """Ordered adjacent pairs (u, v), u in A, v in B; A cap B edges count twice."""
-    in_b = np.zeros(g.n, dtype=bool)
-    in_b[np.asarray(list(B), dtype=np.int64)] = True
-    total = 0
-    for u in set(int(a) for a in A):
-        nbrs = g.adj[u]
-        if nbrs.size:
-            total += int(in_b[nbrs].sum())
-    return total
+    return int(np.count_nonzero(np.isin(g._rows(), list(A)) & np.isin(g.indices, list(B))))
 
 
 def write_edge_list(g: Graph, path) -> None:

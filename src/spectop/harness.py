@@ -235,6 +235,8 @@ def _t_hit_trial(cfg, p, seed):
 def _certify_trial(cfg, p, seed):
     if cfg.import_path is not None:
         g = read_edge_list(cfg.import_path)
+        if g.edge_count == 0:
+            raise ValueError(f"{cfg.import_path}: certify needs a graph with at least one edge")
         d = 2.0 * g.edge_count / g.n
     else:
         g = erdos_renyi(GraphParams(cfg.n, p, seed))

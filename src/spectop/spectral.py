@@ -31,6 +31,7 @@ __all__ = [
     "GapResult",
     "ZERO_TOL",
     "RITZ_TOL",
+    "laplacian_from_edges",
     "normalized_laplacian",
     "full_spectrum",
     "gap",
@@ -81,14 +82,25 @@ class GapResult:
     residual: float = 0.0
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    deg = g.degrees.astype(np.float64)
-    with np.errstate(divide="ignore"):
-        dinv = 1.0 / np.sqrt(deg)
-    dinv[~np.isfinite(dinv)] = 0.0
-    lap = -(g.adjacency() * dinv[:, None]) * dinv[None, :]
-    np.fill_diagonal(lap, (deg > 0).astype(np.float64))
+def laplacian_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dense normalized Laplacian on n vertices with edges (u[i], v[i]), each once.
+
+    Entries: 1 on the diagonal of a positive-degree vertex and 0.0 on that
+    of a zero-degree one, -(1/sqrt(d_u) * 1/sqrt(d_v)) on an edge and -0.0
+    elsewhere (eigh reads the zero signs, so they are part of the result).
+    """
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    # no edge reads the dinv of a zero-degree vertex
+    dinv = 1.0 / np.sqrt(np.maximum(deg, 1))
+    lap = np.full((n, n), -0.0)
+    lap[u, v] = lap[v, u] = -(dinv[u] * dinv[v])
+    lap.ravel()[:: n + 1] = deg > 0
     return lap
+
+
+def normalized_laplacian(g: Graph) -> np.ndarray:
+    e = g.edges()
+    return laplacian_from_edges(g.n, e[:, 0], e[:, 1])
 
 
 def _check_square_symmetric(m: np.ndarray) -> np.ndarray:

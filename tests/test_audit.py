@@ -135,6 +135,32 @@ class TestAudit:
         rep = audit(g, d=10, M=4)
         assert not rep.fuzz_independent
 
+    def test_fuzz_flags_match_their_definitions(self):
+        # random graphs with isolated vertices appended; the flags are
+        # checked against their definitions written over the edge list
+        rng = np.random.default_rng(23)
+        seen = {"independent": set(), "neighbor_ok": set()}
+        for _ in range(60):
+            n, extra = int(rng.integers(4, 25)), int(rng.integers(0, 4))
+            core = random_graph_from_rng(n, float(rng.uniform(0.05, 0.5)), rng)
+            g = from_edges(n + extra, core.edges())
+            d, M = float(rng.uniform(1.0, 8.0)), float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            rep = audit(g, d, M)
+            fuzz = {v for v in range(g.n) if g.degrees[v] <= d / M}
+            edges = [(int(u), int(v)) for u, v in g.edges()]
+            independent = not any(u in fuzz and v in fuzz for u, v in edges)
+            fuzz_nbrs = {u: 0 for u in range(g.n)}
+            for u, v in edges:
+                fuzz_nbrs[u] += v in fuzz
+                fuzz_nbrs[v] += u in fuzz
+            neighbor_ok = all(fuzz_nbrs[u] <= 1 for u in range(g.n) if u not in fuzz)
+            assert rep.fuzz_size == len(fuzz)
+            assert rep.fuzz_independent == independent
+            assert rep.fuzz_neighbor_ok == neighbor_ok
+            seen["independent"].add(independent)
+            seen["neighbor_ok"].add(neighbor_ok)
+        assert seen == {"independent": {False, True}, "neighbor_ok": {False, True}}
+
     def test_edgeless_reports_without_error(self):
         rep = audit(edgeless(6), d=5, M=2)
         assert rep.C1 == 0.0 and rep.C2 == 0.0 and rep.C3 == 0.0
@@ -201,7 +227,7 @@ def brute_force_refutation_exists(g, d, C):
     subsets = []
     for r in range(1, n + 1):
         subsets.extend(combinations(verts, r))
-    adjacency = {v: set(int(w) for w in g.adj[v]) for v in verts}
+    adjacency = {v: set(int(w) for w in g.neighbors(v)) for v in verts}
     for A in subsets:
         for B in subsets:
             e = sum(1 for u in A for v in B if v in adjacency[u])
@@ -309,8 +335,8 @@ class TestPathWitness:
                     continue
                 if deg[v] != 2 or deg[w] != 2:
                     continue
-                us = [int(t) for t in g.adj[v] if t != w]
-                xs = [int(t) for t in g.adj[w] if t != v]
+                us = [int(t) for t in g.neighbors(v) if t != w]
+                xs = [int(t) for t in g.neighbors(w) if t != v]
                 for u in us:
                     for x in xs:
                         if len({u, v, w, x}) < 4:

@@ -1,19 +1,28 @@
-"""The demos byte-compile and import only names their spectop modules define.
+"""The demos byte-compile and import only names their spectop modules define,
+and README lists exactly the demos there are.
 
 The test suite does not run the demos, so without this check a removed or
 renamed public name would break them silently.
 """
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_exist():
     assert DEMOS
+
+
+def test_readme_lists_every_demo():
+    section = (ROOT / "README.md").read_text().split("## Demos", 1)[1]
+    listed = re.findall(r"^python3 demos/(\S+\.py)$", section, flags=re.M)
+    assert listed == [p.name for p in DEMOS]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

@@ -18,19 +18,20 @@ from helpers import complete, edgeless, path, random_graph_from_rng
 
 
 def assert_valid_graph(g):
-    for u, nbrs in enumerate(g.adj):
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
         assert np.all(np.diff(nbrs) > 0), "adjacency not strictly increasing"
         assert u not in nbrs, "self loop"
         for v in nbrs:
-            assert u in g.adj[v], "asymmetric adjacency"
+            assert u in g.neighbors(v), "asymmetric adjacency"
 
 
 class TestConstruction:
     def test_from_edges_dedupes_and_orients(self):
         g = from_edges(4, [(1, 0), (0, 1), (2, 3)])
         assert g.edge_count == 2
-        assert list(g.adj[0]) == [1]
-        assert list(g.adj[3]) == [2]
+        assert list(g.neighbors(0)) == [1]
+        assert list(g.neighbors(3)) == [2]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -52,12 +53,43 @@ class TestConstruction:
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
         edges = data.draw(st.lists(pair, max_size=40)) if n >= 2 else []
         g = from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
-        assert len(g.adj) == g.n == n
+        assert g.degrees.size == g.n == n
         assert_valid_graph(g)
         assert g.edge_count == len({(min(e), max(e)) for e in edges})
         assert {tuple(e) for e in g.edges()} == {(min(e), max(e)) for e in edges}
         assert g.degrees.sum() == 2 * g.edge_count
         assert g.sparse_adjacency().nnz == 2 * g.edge_count
+
+    def test_csr_arrays(self):
+        g = from_edges(5, [(3, 1), (0, 3), (1, 0)])
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.indptr.tolist() == [0, 2, 4, 4, 6, 6]
+        assert g.indices.tolist() == [1, 3, 0, 3, 0, 1]
+        assert g.degrees.tolist() == [2, 2, 0, 2, 0]
+        assert g.edges().tolist() == [[0, 1], [0, 3], [1, 3]]
+
+    def test_equality_is_identity(self):
+        g = from_edges(3, [(0, 1)])
+        assert g == g and g != from_edges(3, [(0, 1)])
+
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_and_sparse_adjacency_match_edges(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        g = random_graph_from_rng(n, 0.3, rng)
+        want = np.zeros((n, n))
+        for u, v in g.edges():
+            want[u, v] = want[v, u] = 1.0
+        assert np.array_equal(g.adjacency(), want)
+        assert np.array_equal(g.sparse_adjacency().toarray(), want)
+
+    def test_sparse_adjacency_data_is_its_own(self):
+        g = random_graph_from_rng(12, 0.4, np.random.default_rng(4))
+        indptr, indices = g.indptr.copy(), g.indices.copy()
+        m = g.sparse_adjacency()
+        m.data /= 3.0
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+        assert np.array_equal(g.sparse_adjacency().data, np.ones(2 * g.edge_count))
 
 
 class TestErdosRenyi:
@@ -68,7 +100,7 @@ class TestErdosRenyi:
     def test_p_one_is_complete(self):
         g = erdos_renyi(GraphParams(n=5, p=1.0))
         assert g.edge_count == 10
-        assert all(len(nbrs) == 4 for nbrs in g.adj)
+        assert all(g.degrees == 4)
 
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +226,7 @@ class TestInducedSubgraph:
         expected = {(pos[u], pos[v]) for u, v in g.edges() if int(u) in pos and int(v) in pos}
         got = {(int(u), int(v)) for u, v in h.edges()}
         assert got == expected
+        assert_valid_graph(h)
 
 
 class TestCrossEdges:
@@ -216,6 +249,16 @@ class TestCrossEdges:
         a = data.draw(st.sets(st.integers(0, n - 1)))
         b = data.draw(st.sets(st.integers(0, n - 1)))
         assert cross_edges(g, a, b) == cross_edges(g, b, a)
+
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_ordered_pairs_over_edges(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        g = random_graph_from_rng(n, 0.5, rng)
+        a = data.draw(st.sets(st.integers(0, n - 1)))
+        b = data.draw(st.sets(st.integers(0, n - 1)))
+        want = sum((u in a and v in b) + (v in a and u in b) for u, v in g.edges().tolist())
+        assert cross_edges(g, a, b) == want
 
     def test_full_square_is_degree_sum(self):
         rng = np.random.default_rng(9)

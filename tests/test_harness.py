@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import spectop
 from spectop import cli, harness
 from spectop.complexes import window_density
 from spectop.graphs import (
@@ -350,6 +354,23 @@ class TestCli:
         code = cli.main(["certify", "--import", str(tmp_path / "nope.edges"),
                          "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("header", ["0 0", "3 0"])
+    def test_exit_one_on_edgeless_import(self, header, tmp_path):
+        # run as the installed entry point would, so a traceback would show
+        target = tmp_path / "empty.edges"
+        target.write_text(header + "\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spectop.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectop.cli", "certify", "--import", str(target),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("spectop: error: ")
+        assert str(target) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_exit_two_on_failed_certify(self, tmp_path, capsys):
         target = tmp_path / "bad.edges"

@@ -31,8 +31,6 @@ __all__ = [
     "certified_bound",
     "discrepancy_refute",
     "find_path_witness",
-    "condition_csv_header",
-    "condition_csv_row",
 ]
 
 
@@ -140,19 +138,19 @@ def audit(g: Graph, d: float, M: float) -> ConditionReport:
         certified_bound=None,
     )
     if independent and small and neighbor_ok:
-        report = replace(report, certified_bound=certified_bound(report, d))
+        report = replace(report, certified_bound=certified_bound(report))
     return report
 
 
-def certified_bound(r: ConditionReport, d: float) -> float:
-    """(2 C2 M + 2 sqrt(M)) / sqrt(d) + 2 C1 C3^2 / d.
+def certified_bound(r: ConditionReport) -> float:
+    """(2 C2 M + 2 sqrt(M)) / sqrt(d) + 2 C1 C3^2 / d, with d = r.d.
 
     Valid only when the three fuzz conditions hold; the caller may then
     assert max over non-kernel i of |1 - lambda_i| is at most this value.
     """
     if not (r.fuzz_independent and r.fuzz_small and r.fuzz_neighbor_ok):
         raise ValueError("no certificate: fuzz conditions not all satisfied")
-    return (2.0 * r.C2 * r.M + 2.0 * math.sqrt(r.M)) / math.sqrt(d) + 2.0 * r.C1 * r.C3**2 / d
+    return (2.0 * r.C2 * r.M + 2.0 * math.sqrt(r.M)) / math.sqrt(r.d) + 2.0 * r.C1 * r.C3**2 / r.d
 
 
 def _clause_values(n: int, d: float, C: float, e: int, size_a: int, size_b: int):
@@ -305,28 +303,3 @@ def find_path_witness(g: Graph, m: int) -> Optional[PathWitness]:
                 continue
             return PathWitness(u=u, v=v, w=w, x=x, m=m)
     return None
-
-
-_CSV_COLUMNS = [
-    "n", "d", "M", "C1", "C2", "C3", "fuzz_size",
-    "fuzz_independent", "fuzz_small", "fuzz_neighbor_ok",
-    "certified_bound", "measured_gap",
-]
-
-
-def condition_csv_header() -> str:
-    return ",".join(_CSV_COLUMNS)
-
-
-def condition_csv_row(r: ConditionReport, measured_gap: Optional[float] = None) -> str:
-    def num(x):
-        return format(x, ".12g")
-
-    vals = [
-        str(r.n), num(r.d), num(r.M), num(r.C1), num(r.C2), num(r.C3),
-        str(r.fuzz_size),
-        str(int(r.fuzz_independent)), str(int(r.fuzz_small)), str(int(r.fuzz_neighbor_ok)),
-        num(r.certified_bound) if r.certified_bound is not None else "",
-        num(measured_gap) if measured_gap is not None else "",
-    ]
-    return ",".join(vals)

@@ -33,8 +33,6 @@ __all__ = [
     "link",
     "link_edges",
     "isolated_faces",
-    "is_pure",
-    "expected_isolated",
     "window_density",
 ]
 
@@ -246,26 +244,6 @@ def isolated_faces(y: Complex) -> ComplexStats:
         stats.degrees = counts.astype(np.int64)
         stats.isolated_count = int(np.count_nonzero(counts == 0))
     return stats
-
-
-def is_pure(y: Complex) -> bool:
-    """True iff every (d-2)-face lies in some d-face.
-
-    The covered (d-2)-faces are the facets of the (d-1)-faces of positive
-    degree, which are the facets of the d-faces.
-    """
-    if y.d < 2:
-        raise ValueError("purity check needs dimension >= 2")
-    table = binom_table(y.n, y.d + 1)
-    covered = np.zeros(int(table[y.n, y.d - 1]), dtype=bool)
-    positive = np.unique(facet_ranks(y.faces, table))
-    covered[facet_ranks(unrank_faces(positive, y.d, table), table)] = True
-    return bool(covered.all())
-
-
-def expected_isolated(n: int, d: int, p: float) -> float:
-    """E[#isolated (d-1)-faces] = C(n, d) (1-p)^(n-d)."""
-    return math.comb(n, d) * (1.0 - p) ** (n - d)
 
 
 def window_density(n: int, d: int, c: float) -> float:

@@ -33,7 +33,6 @@ from .complexes import (
     FaceProcess,
     binom_table,
     facet_ranks,
-    is_pure,
     isolated_faces,
     link_edges,
     unrank_faces,
@@ -190,8 +189,9 @@ def garland_check(y: Complex) -> GarlandReport:
     """
     if y.d < 2:
         raise ValueError("link certificates need dimension >= 2")
-    pure = is_pure(y)
     faces, edges = link_edges(y)
+    # a (d-2)-face lies in some d-face exactly when its link is nonempty
+    pure = len(faces) == math.comb(y.n, y.d - 1)
     if not edges:
         return GarlandReport(None, pure, False, None)
     # link_edges runs in colex order; tuples break lambda_2 ties in lex order

@@ -159,10 +159,11 @@ def _graph_gap_trial(cfg, p, seed):
     if g.edge_count == 0:
         return {"giant_size": 1, "gap": None, "lambda2": None,
                 "lambda_max": None, "gap_sqrt_d": None}
-    r = giant_gap(g)
+    sub = _giant(g)
+    r = gap(sub)
     d = (cfg.n - 1) * p
     return {
-        "giant_size": int(components(g).sizes.max()),
+        "giant_size": sub.n,
         "gap": r.lambda_abs,
         "lambda2": r.lambda2,
         "lambda_max": r.lambda_max,
@@ -204,12 +205,7 @@ def _connectivity_gap_trial(cfg, p, seed):
 def _link_audit_trial(cfg, p, seed):
     y = sample_complex(cfg.n, cfg.d, p, seed=seed)
     r = garland_check(y)
-    return {
-        "min_link_lambda2": r.min_link_lambda2,
-        "pure": r.pure,
-        "certified": r.certified,
-        "worst_face": "-".join(map(str, r.worst_face)) if r.worst_face else None,
-    }
+    return {**asdict(r), "worst_face": "-".join(map(str, r.worst_face)) if r.worst_face else None}
 
 
 def _poisson_betti_trial(cfg, p, seed):
@@ -253,21 +249,7 @@ def _certify_trial(cfg, p, seed):
         and measured <= bound
         and (bound >= 1.0 or gap_at_most(_giant(g), bound))
     )
-    return {
-        "n": report.n,
-        "d": report.d,
-        "M": report.M,
-        "C1": report.C1,
-        "C2": report.C2,
-        "C3": report.C3,
-        "fuzz_size": report.fuzz_size,
-        "fuzz_independent": report.fuzz_independent,
-        "fuzz_small": report.fuzz_small,
-        "fuzz_neighbor_ok": report.fuzz_neighbor_ok,
-        "certified_bound": report.certified_bound,
-        "measured_gap": measured,
-        "sound": sound,
-    }
+    return {**asdict(report), "measured_gap": measured, "sound": sound}
 
 
 _TRIALS = {

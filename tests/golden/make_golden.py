@@ -26,6 +26,9 @@ CONFIGS = {
     "certify": dict(n=2000, coeff=1.5, trials=3),
     "link-audit": dict(n=40, d=2, coeff=1.5, trials=3),
     "t-hit": dict(n=25, grid_points=100, trials=2),
+    "poisson-betti": dict(n=40, d=2, c=0.0, trials=20),
+    "cohomology-hit": dict(n=40, d=2, trials=40),
+    "tail-check": dict(),
 }
 
 

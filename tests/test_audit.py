@@ -9,8 +9,6 @@ from spectop.audit import (
     FuzzSet,
     audit,
     certified_bound,
-    condition_csv_header,
-    condition_csv_row,
     discrepancy_refute,
     find_path_witness,
     fuzz_set,
@@ -176,16 +174,6 @@ class TestAudit:
         assert rep.certified_bound is not None
         assert gap(g).lambda_abs <= rep.certified_bound
 
-    def test_csv_round(self):
-        rep = audit(complete(8), d=7, M=2)
-        header = condition_csv_header()
-        row = condition_csv_row(rep, measured_gap=1 / 7)
-        assert header.split(",")[0] == "n"
-        assert len(row.split(",")) == len(header.split(","))
-        rep2 = audit(edgeless(6), d=5, M=2)
-        row2 = condition_csv_row(rep2)
-        assert row2.split(",")[-2:] == ["", ""]
-
 
 class TestCertifiedBound:
     def test_reference_assembly(self):
@@ -194,7 +182,7 @@ class TestCertifiedBound:
             fuzz_independent=True, fuzz_small=True, fuzz_neighbor_ok=True,
             certified_bound=None,
         )
-        assert certified_bound(rep, 100.0) == pytest.approx(0.42, abs=1e-12)
+        assert certified_bound(rep) == pytest.approx(0.42, abs=1e-12)
 
     def test_requires_flags(self):
         rep = ConditionReport(
@@ -203,7 +191,7 @@ class TestCertifiedBound:
             certified_bound=None,
         )
         with pytest.raises(ValueError):
-            certified_bound(rep, 100.0)
+            certified_bound(rep)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_soundness_on_random_graphs(self, seed):

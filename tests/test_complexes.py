@@ -12,9 +12,7 @@ from spectop.complexes import (
     FaceProcess,
     binom_table,
     complex_from_faces,
-    expected_isolated,
     facet_ranks,
-    is_pure,
     isolated_faces,
     link,
     rank_faces,
@@ -22,6 +20,7 @@ from spectop.complexes import (
     unrank_faces,
     window_density,
 )
+from spectop.criteria import garland_check
 from spectop.seeding import trial_rng
 
 
@@ -289,32 +288,34 @@ class TestIsolatedFaces:
 
 
 class TestIsPure:
+    """garland_check's purity flag, read off its one link_edges pass."""
+
     def test_full_true(self):
-        assert is_pure(full_complex(5, 2))
+        assert garland_check(full_complex(5, 2)).pure
 
     def test_empty_false(self):
-        assert not is_pure(sample_complex(5, 2, 0.0))
+        assert not garland_check(sample_complex(5, 2, 0.0)).pure
 
     def test_cone_over_zero(self):
         faces = [f for f in combinations(range(5), 3) if 0 in f]
-        assert is_pure(complex_from_faces(5, 2, faces))
+        assert garland_check(complex_from_faces(5, 2, faces)).pure
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_links_having_edges(self, seed):
         y = sample_complex(7, 2, 0.2, seed=seed)
         by_links = all(link(y, (v,)).edge_count > 0 for v in range(7))
-        assert is_pure(y) == by_links
+        assert garland_check(y).pure == by_links
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_empty_matches_loop(self, d):
         y = complex_from_faces(d + 3, d, [])
-        assert is_pure(y) == is_pure_by_loop(y) is False
+        assert garland_check(y).pure == is_pure_by_loop(y) is False
 
     @settings(max_examples=150, deadline=None)
     @given(face_lists(d_range=(2, 4)))
     def test_matches_loop(self, drawn):
         y = complex_from_faces(*drawn)
-        assert is_pure(y) == is_pure_by_loop(y)
+        assert garland_check(y).pure == is_pure_by_loop(y)
 
 
 class TestLinkFuzzAlongProcess:
@@ -333,15 +334,11 @@ class TestLinkFuzzAlongProcess:
 
 
 class TestDensityHelpers:
-    def test_expected_isolated_formula(self):
-        assert expected_isolated(5, 2, 0.0) == 10
-        assert expected_isolated(5, 2, 1.0) == 0
-        assert expected_isolated(6, 2, 0.5) == pytest.approx(15 * 0.5**4)
-
     def test_matched_density_hits_target_mean(self):
         for n, d, c in [(40, 2, 0.0), (30, 2, 1.0), (25, 3, 0.5)]:
             p = window_density(n, d, c)
-            assert expected_isolated(n, d, p) == pytest.approx(
+            # E[#isolated (d-1)-faces] = C(n, d) (1-p)^(n-d)
+            assert math.comb(n, d) * (1.0 - p) ** (n - d) == pytest.approx(
                 math.exp(-c) / math.factorial(d), rel=1e-12
             )
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spectop
-from spectop import cli, harness
+from spectop import cli, harness, spectral
 from spectop.complexes import window_density
 from spectop.graphs import (
     GraphParams,
@@ -214,6 +214,24 @@ class TestRunOutputs:
             assert 0.0 < r.values["gap"] < 1.0
             assert 1 <= r.values["giant_size"] <= 120
             assert r.values["lambda2"] <= r.values["lambda_max"]
+
+    @pytest.mark.parametrize("kind,n,coeff", [
+        ("graph-gap", 2000, 1.5),
+        ("graph-gap", 300, 0.6),  # disconnected
+        ("certify", 2000, 1.5),
+    ])
+    def test_two_component_passes_per_trial(self, kind, n, coeff, monkeypatch):
+        # one to extract the giant, one for the gap's kernel dimension
+        calls = []
+
+        def spy(g):
+            calls.append(g.n)
+            return components(g)
+
+        monkeypatch.setattr(harness, "components", spy)
+        monkeypatch.setattr(spectral, "components", spy)
+        run_trial(cfg(kind=kind, n=n, coeff=coeff, master_seed=5), 0)
+        assert len(calls) == 2
 
     def test_connectivity_gap_values_sane(self, tmp_path):
         result = run(cfg(kind="connectivity-gap", n=50, trials=3,

@@ -13,9 +13,18 @@ it serves small matrices and is the oracle the tests pin everything else to.
 `gap` and `adjacency_seminorm` need only extreme eigenvalues: above
 _DENSE_MAX_N vertices they run Lanczos (ARPACK `eigsh`, one eigenvalue per
 solve) on the sparse operator from a fixed start vector, so reruns are
-byte-identical, and check each Ritz residual ||Op v - theta v||.  A Ritz
+byte-identical, and check each Ritz residual r = ||Op v - theta v||.  A Ritz
 value lies inside the spectrum of its operator, so these values can only
 undershoot; `gap_at_most` decides a gap bound exactly, by inertia.
+
+Each Lanczos solve stops where its residual check would accept it: ARPACK
+is given tol = RITZ_TOL / 10 and stops once its Ritz estimate is at most
+tol * max(eps^(2/3), |theta|), so a converged pair passes the check
+r <= RITZ_TOL * max(1, |theta|) with a tenfold margin.  The accepted theta
+lies within r of an eigenvalue, and within r^2 / delta of it when that
+eigenvalue is separated from the rest of the spectrum by delta (Kato-Temple;
+Parlett, The Symmetric Eigenvalue Problem, ch. 11).  Stopping there leaves
+the one-sided property as it was.
 """
 from __future__ import annotations
 
@@ -140,10 +149,12 @@ def _start_vector(w: np.ndarray) -> np.ndarray:
 
 def _extreme_ritz(matvec, n: int, which: str, v0: np.ndarray) -> tuple[float, float]:
     """(theta, ||Op v - theta v||) for the largest ("LA") or smallest ("SA")
-    eigenvalue of the symmetric operator x -> matvec(x), by Lanczos to
-    machine precision.  A residual above RITZ_TOL is an ArithmeticError."""
+    eigenvalue of the symmetric operator x -> matvec(x), by Lanczos stopped
+    once ARPACK's Ritz estimate is at most RITZ_TOL / 10 * max(eps^(2/3),
+    |theta|): ten times inside the check that follows, which recomputes the
+    residual and raises ArithmeticError above RITZ_TOL * max(1, |theta|)."""
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    vals, vecs = eigsh(op, k=1, which=which, v0=v0, tol=0, rng=_LANCZOS_SEED)
+    vals, vecs = eigsh(op, k=1, which=which, v0=v0, tol=RITZ_TOL / 10, rng=_LANCZOS_SEED)
     theta, v = float(vals[0]), vecs[:, 0]
     resid = float(np.linalg.norm(matvec(v) - theta * v))
     if resid > RITZ_TOL * max(1.0, abs(theta)):
@@ -169,11 +180,18 @@ def gap(g: Graph) -> GapResult:
     lambda_abs never exceeds the true gap (up to rounding).  It can refute a
     bound below 1 but not confirm one; `gap_at_most` decides that.
     """
+    if g.n > _DENSE_MAX_N:
+        kernel_dim = len(components(g).sizes)
+        if kernel_dim != 1:
+            raise ValueError(f"graph is not connected: kernel_dim={kernel_dim}")
+    return _connected_gap(g)
+
+
+def _connected_gap(g: Graph) -> GapResult:
+    """`gap` of a graph already known to be connected above _DENSE_MAX_N
+    vertices, so no components pass is repeated."""
     if g.n <= _DENSE_MAX_N:
         return _dense_gap(g)
-    kernel_dim = len(components(g).sizes)
-    if kernel_dim != 1:
-        raise ValueError(f"graph is not connected: kernel_dim={kernel_dim}")
     m = g.sparse_adjacency()
     tsqrt = np.sqrt(g.degrees.astype(np.float64))
     m.data /= np.repeat(tsqrt, np.diff(m.indptr)) * tsqrt[m.indices]
@@ -212,10 +230,9 @@ def giant_gap(g: Graph) -> GapResult:
     if g.edge_count == 0:
         raise ValueError("giant_gap needs at least one edge")
     comp = components(g)
-    if comp.sizes.size == 1:
-        return gap(g)
-    keep = np.flatnonzero(comp.component_id == comp.giant)
-    return gap(induced_subgraph(g, keep))
+    if comp.sizes.size > 1:
+        g = induced_subgraph(g, np.flatnonzero(comp.component_id == comp.giant))
+    return _connected_gap(g)
 
 
 def _positive_definite(a: np.ndarray) -> bool:

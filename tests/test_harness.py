@@ -221,7 +221,9 @@ class TestRunOutputs:
         ("certify", 2000, 1.5),
     ])
     def test_two_component_passes_per_trial(self, kind, n, coeff, monkeypatch):
-        # one to extract the giant, one for the gap's kernel dimension
+        # graph-gap: one to extract the giant, one for gap's kernel dimension;
+        # certify: giant_gap hands the giant it extracted straight to the solver
+        passes = 1 if kind == "certify" else 2
         calls = []
 
         def spy(g):
@@ -231,7 +233,7 @@ class TestRunOutputs:
         monkeypatch.setattr(harness, "components", spy)
         monkeypatch.setattr(spectral, "components", spy)
         run_trial(cfg(kind=kind, n=n, coeff=coeff, master_seed=5), 0)
-        assert len(calls) == 2
+        assert len(calls) == passes
 
     def test_connectivity_gap_values_sane(self, tmp_path):
         result = run(cfg(kind="connectivity-gap", n=50, trials=3,

@@ -258,6 +258,21 @@ class TestLanczosOracle:
         oracle = np.linalg.svd(proj @ g.adjacency(), compute_uv=False)[0]
         assert adjacency_seminorm(g) == pytest.approx(oracle, rel=1e-12, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_benchmark_size_matches_dense(self, seed):
+        # the graph_certify config: G(2000, 1.5 ln n / n)
+        n = 2000
+        g = erdos_renyi(GraphParams(n, 1.5 * math.log(n) / n, seed))
+        vals = np.linalg.eigvalsh(normalized_laplacian(_giant(g)))
+        res = giant_gap(g)
+        assert res.lambda2 == pytest.approx(vals[1], abs=1e-12)
+        assert res.lambda_max == pytest.approx(vals[-1], abs=1e-12)
+        assert 0.0 < res.residual <= RITZ_TOL
+        a = g.adjacency()
+        pa = a - a.mean(axis=0)  # P A with P = I - J/n
+        top = np.linalg.eigvalsh(pa @ pa.T)[-1]  # of P A^2 P
+        assert adjacency_seminorm(g) ** 2 == pytest.approx(top, rel=1e-12)
+
     def test_dense_path_reports_zero_residual(self):
         assert gap(complete(_DENSE_MAX_N)).residual == 0.0
 
